@@ -1,11 +1,10 @@
 """Run every workload over several seeds and record the medians and spreads.
 
-    python3 bench/baseline.py [--seeds 1 2 ... 10] [--trace-seed 1] [--workloads ...]
-                              [--output PATH]
+    python3 bench/baseline.py [--seeds 1 2 ... 10] [--workloads ...] [--output PATH]
 
 Each (workload, seed) is one untraced ``run.py`` process of ``run_seconds``
 from BENCHMARK.json, run one after the other; then one traced run per
-workload. For each end-to-end metric the file holds the ten values, their
+workload, on the first seed. For each end-to-end metric the file holds the ten values, their
 median and their spread (interquartile distance over the median, as
 ``statistics.quantiles(values, n=4)`` gives the quartiles). Ten seeds take
 about 11 x run_seconds per workload.
@@ -48,7 +47,6 @@ def summary(values: list[float]) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    ap.add_argument("--trace-seed", type=int, default=1)
     ap.add_argument("--workloads", nargs="+", help="default: those in BENCHMARK.json")
     ap.add_argument("--output", default=str(BENCH / "BENCH_baseline.json"))
     args = ap.parse_args()
@@ -58,7 +56,7 @@ def main() -> None:
     for name in args.workloads or [w["name"] for w in spec["workloads"]]:
         runs = [run_once(name, seed, seconds, 0) for seed in args.seeds]
         doc["context"] = runs[0][1]["context"]
-        traced, _ = run_once(name, args.trace_seed, seconds, 1)
+        traced, _ = run_once(name, args.seeds[0], seconds, 1)
         doc["workloads"][name] = {
             "all_correct": all(r["correct"] for r, _ in runs) and traced["correct"],
             "failed": sum(r["failed"] for r, _ in runs) + traced["failed"],
@@ -68,7 +66,7 @@ def main() -> None:
                 k: summary([rep["workload_metrics"][k]["value"] for _, rep in runs])
                 for k in runs[0][1]["workload_metrics"]},
             "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
-            "per_layer_seed": args.trace_seed,
+            "per_layer_seed": args.seeds[0],
         }
         print(name, json.dumps({k: round(v["median"], 4) for k, v in
                                 doc["workloads"][name]["end_to_end"].items()}), flush=True)

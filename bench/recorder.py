@@ -1,9 +1,11 @@
 """Counting and tracing of the public taq calls that the benchmark makes.
 
-Every public call runs inside ``Recorder.call``: it is counted as attempted,
-and a ``TaqError`` it raises is counted as failed and re-raised. With
-``tracing`` on, each call also leaves a span (name, start, end, parent, run
-id, and its counts) in memory; the spans are written out when the run ends.
+Every public call runs inside ``Recorder.call``: it is counted as one
+attempted call, and a ``TaqError`` it raises is counted as an error and
+re-raised. ``Recorder.check`` counts correctness checks on outputs apart from
+the calls. With ``tracing`` on, each call also leaves a span (name, start,
+end, parent, run id, and its counts) in memory; the spans are written out
+when the run ends.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from taq.errors import TaqError
 
 class Recorder:
     def __init__(self) -> None:
-        self.attempted = 0
-        self.failed = 0
+        self.calls = 0
+        self.call_errors = 0
+        self.checks = 0
+        self.checks_failed = 0
         self.errors: list[str] = []
         self.spans: list[dict] = []
         self.tracing = False
@@ -42,23 +46,33 @@ class Recorder:
             self._stack.pop()
             rec["end"] = time.perf_counter()
 
+    @property
+    def attempted(self) -> int:
+        return self.calls + self.checks
+
+    @property
+    def failed(self) -> int:
+        return self.call_errors + self.checks_failed
+
     @contextmanager
     def call(self, name: str, calls: int = 1, **counts):
-        """``calls`` public calls into taq (a loop of them when > 1)."""
-        self.attempted += calls
+        """One attempted call into taq. A loop of ``calls`` calls (say, one
+        ``offer`` per row) is still one attempt, since an error stops the
+        loop; its span carries the loop's length as ``calls``."""
+        self.calls += 1
         try:
             with self.span(name, calls=calls, **counts):
                 yield
         except TaqError as exc:
-            self.failed += 1
+            self.call_errors += 1
             self.errors.append(f"{name}: {type(exc).__name__}: {exc}")
             raise
 
     def check(self, ok: bool, what: str) -> None:
-        """A correctness check on an output; a failed one counts as failed."""
-        self.attempted += 1
+        """A correctness check on an output."""
+        self.checks += 1
         if not ok:
-            self.failed += 1
+            self.checks_failed += 1
             self.errors.append(f"check failed: {what}")
 
 

@@ -25,19 +25,25 @@ bench/make_weights.py) and check its sha256 in set-up. The seed makes every
 input: calibration prompts, held-out items (any item whose prompt is in the
 checkpoint's training data is dropped), training items and sampling streams.
 
-A run sets up ``setup_reps`` times (set-up time is their median), then repeats
-one round of the workload on identical inputs until ``--seconds`` would be
-exceeded; times are medians over rounds. Each round's outputs are checked,
-and must equal the first round's. With ``--trace 1`` the rounds alternate
-untraced and traced; per-layer figures come from the traced rounds, and the
-traced-minus-untraced round time is the tracing overhead.
+A run repeats one round of the workload on identical inputs until
+``--seconds`` would be exceeded, and sets up ``setup_reps`` times before each
+round; times are medians over rounds and over set-ups. Held-out items are
+scored by one ``evaluate`` call per plan and task, with its default decode
+budget. Each round's outputs are checked, and must equal the first round's.
+After the rounds, untimed, every layer of the checkpoint is quantized at u4
+and u8 for the per-layer quantization errors. With ``--trace 1`` the rounds
+alternate untraced and traced; per-layer figures come from the traced
+rounds, and the traced-minus-untraced round time is the tracing overhead.
 
 Output: context and metric lines, then as the last line one JSON object
 ``{"correct", "attempted", "failed", "metrics"}`` holding the end-to-end
 metrics (``--trace 0``) or the per-layer metrics (``--trace 1``) named in
-BENCHMARK.json. A report with the run context, per-task per-layer tables,
-degeneracy flags and every metric is written to bench/out/, and with
-``--trace 1`` the spans as well.
+BENCHMARK.json. ``attempted`` counts public calls (a loop of ``offer``
+calls over one batch counts once) plus output checks. A report with the run
+context, per-task per-layer tables, degeneracy flags and every metric is
+written to bench/out/, and with ``--trace 1`` the spans as well. The exit
+code is 1 when a check failed or a call raised, so no such run passes as a
+result.
 """
 
 from __future__ import annotations
@@ -72,16 +78,14 @@ from taq.tasks import PAD, TASK_IDS, ToyTask, gen_task
 
 WORKLOADS = ("profile", "eval", "train")
 SIZES = {
-    "full": {"calib_prompts": 512, "capture_batch": 64, "eval_items": 128, "eval_batch": 32,
-             "train_steps": 100, "setup_reps": 9},
+    "full": {"calib_prompts": 512, "capture_batch": 64, "eval_items": 128,
+             "train_steps": 100, "setup_reps": 5},
     # For the smoke test: every code path, a few seconds per workload.
-    "toy": {"calib_prompts": 4, "capture_batch": 4, "eval_items": 4, "eval_batch": 2,
+    "toy": {"calib_prompts": 4, "capture_batch": 4, "eval_items": 4,
             "train_steps": 3, "setup_reps": 2},
 }
 LADDER = (("fp32", None), ("u16", 16), ("u8", 8), ("u4", 4))
-# The longest answer (max_payload tokens) plus EOS; a longer output is wrong
-# whatever follows, so EM is the same as with the default budget of 16.
-MAX_NEW_TOKENS = ToyTask("copy", seed=0).max_payload + 1
+PROBE_BITS = (4, 8)
 
 # Tags for SeededRng(seed).derive: one independent stream per input.
 _CALIB_TAG, _HELDOUT_TAG, _TRAIN_TAG, _RESERVOIR_TAG = 1, 2, 3, 4
@@ -110,7 +114,7 @@ def _per_layer_spec(n_layers: int) -> list[tuple[str, str]]:
         ("quant.quant_error.s", "s"),
     ]
     spec += [(f"quant.frobenius_rel.u{b}.layer{i}", "ratio")
-             for b in (4, 8) for i in range(n_layers)]
+             for b in PROBE_BITS for i in range(n_layers)]
     spec += [
         ("model.evaluate.calls", "count"),
         ("model.evaluate.items", "count"),
@@ -229,14 +233,16 @@ def capture_task(model: ToyModel, prompts, batch: int, reservoirs, moments, rec:
             forward(model, tokens, capture=capture)
 
 
-def quantize(model: ToyModel, layer_bits: dict[int, int], rec: Recorder, frob: dict) -> ToyModel:
-    """Quantized copy of ``model``; records each layer's mean relative
-    Frobenius error at its bitwidth into ``frob`` and checks every tensor's."""
+def quantize(model: ToyModel, layer_bits: dict[int, int],
+             rec: Recorder) -> tuple[ToyModel, dict[int, float]]:
+    """Quantized copy of ``model`` and each quantized layer's mean relative
+    Frobenius error at its bitwidth; checks every tensor's error."""
     names = [n for layer in layer_bits for n in quantizable_names(model.config, layer)]
     weights = sum(model.params[n].size for n in names)
     groups = sum(math.ceil(model.params[n].size / DEFAULT_GROUP_SIZE) for n in names)
     with rec.call("model.with_quantized_layers", weights=weights, groups=groups):
         qm = model.with_quantized_layers(layer_bits, DEFAULT_GROUP_SIZE)
+    frob = {}
     for layer, bits in layer_bits.items():
         errs = []
         for name in quantizable_names(model.config, layer):
@@ -245,28 +251,35 @@ def quantize(model: ToyModel, layer_bits: dict[int, int], rec: Recorder, frob: d
             rec.check(math.isfinite(err["frobenius_rel"]) and 0.0 <= err["frobenius_rel"] < 1.0,
                       f"{name} u{bits} frobenius_rel {err['frobenius_rel']} outside [0, 1)")
             errs.append(err["frobenius_rel"])
-        frob[f"u{bits}.layer{layer}"] = float(np.mean(errs))
-    return qm
+        frob[layer] = float(np.mean(errs))
+    return qm, frob
 
 
-def score(model: ToyModel, items, batch: int, rec: Recorder, label: str) -> dict:
-    """EM and F1 over ``items``, ``batch`` items per ``evaluate`` call, with
-    MAX_NEW_TOKENS. Greedy decode runs until the slowest item of a call
-    stops, so small calls and a budget no longer than the longest answer keep
-    one runaway answer from setting the cost of many items."""
-    em = f1 = 0.0
-    degenerate = 0
-    for start in range(0, len(items), batch):
-        chunk = items[start:start + batch]
-        with rec.call("model.evaluate", items=len(chunk)):
-            res = evaluate(model, chunk, max_new_tokens=MAX_NEW_TOKENS)
-        rec.check(res.n_items == len(chunk), f"{label}: n_items {res.n_items} != {len(chunk)}")
-        rec.check(0.0 <= res.exact_match <= 100.0 and 0.0 <= res.token_f1 <= 100.0,
-                  f"{label}: EM {res.exact_match} / F1 {res.token_f1} outside [0, 100]")
-        em += res.exact_match * len(chunk)
-        f1 += res.token_f1 * len(chunk)
-        degenerate += res.degenerate_pairs
-    return {"em": em / len(items), "f1": f1 / len(items), "degenerate_pairs": degenerate}
+def quant_error_probe(model: ToyModel, rec: Recorder) -> dict[str, float]:
+    """Every layer's error at each of PROBE_BITS, keyed ``u<bits>.layer<i>``:
+    the per-layer quantization-error figures, the same on every workload.
+    The min-max quantizer is deterministic, so a layer's error at given bits
+    does not depend on which plan quantized it."""
+    n = model.config.n_layers
+    frob = {}
+    for bits in PROBE_BITS:
+        _, errs = quantize(model, dict.fromkeys(range(n), bits), rec)
+        frob.update({f"u{bits}.layer{layer}": e for layer, e in errs.items()})
+    for layer in range(n):
+        u4, u8 = frob[f"u4.layer{layer}"], frob[f"u8.layer{layer}"]
+        rec.check(u4 > u8, f"layer {layer}: frobenius_rel u4 {u4} not above u8 {u8}")
+    return frob
+
+
+def score(model: ToyModel, items, rec: Recorder, label: str) -> dict:
+    """EM and F1 over ``items``: one ``evaluate`` call with its default
+    decode budget."""
+    with rec.call("model.evaluate", items=len(items)):
+        res = evaluate(model, items)
+    rec.check(res.n_items == len(items), f"{label}: n_items {res.n_items} != {len(items)}")
+    rec.check(0.0 <= res.exact_match <= 100.0 and 0.0 <= res.token_f1 <= 100.0,
+              f"{label}: EM {res.exact_match} / F1 {res.token_f1} outside [0, 100]")
+    return {"em": res.exact_match, "f1": res.token_f1, "degenerate_pairs": res.degenerate_pairs}
 
 
 def profile_round(inp: Inputs, size: dict, rec: Recorder) -> dict:
@@ -305,14 +318,15 @@ def profile_round(inp: Inputs, size: dict, rec: Recorder) -> dict:
         tables[tid] = {"layers": [dict(vars(s), bits=plan.bits[s.layer]) for s in layer_stats],
                        **zflags, "cost": plan.cost, "cost_frac": plan.cost / fp32_bits}
     plan_s = time.perf_counter() - t0
-    frob: dict[str, float] = {}
     quality = {}
     for tid in TASK_IDS:
         layer_bits = {i: b for i, b in enumerate(plans[tid].bits) if b != PIN_FULL_BITS}
-        qm = quantize(model, layer_bits, rec, frob)
-        quality[f"taq.{tid}"] = score(qm, inp.heldout[tid], size["eval_batch"], rec, f"taq {tid}")
+        qm, frob = quantize(model, layer_bits, rec)
+        for layer, err in frob.items():
+            tables[tid]["layers"][layer]["frobenius_rel"] = err
+        quality[f"taq.{tid}"] = score(qm, inp.heldout[tid], rec, f"taq {tid}")
         tables[tid]["degenerate_pairs"] = quality[f"taq.{tid}"]["degenerate_pairs"]
-    return {"plan_s": plan_s, "tables": tables, "frob": frob, "quality": quality}
+    return {"plan_s": plan_s, "tables": tables, "quality": quality}
 
 
 def check_plan(plan, rel, cost_model: CostModel, rec: Recorder, tid: str) -> None:
@@ -339,14 +353,13 @@ def eval_round(inp: Inputs, size: dict, rec: Recorder) -> dict:
         if bits is not None:
             with rec.call("alloc.uniform_plan"):
                 plan = uniform_plan(cfg.n_layers, bits, cost_model)
-            qm = quantize(model, dict(enumerate(plan.bits)), rec, frob)
+            qm, errs = quantize(model, dict(enumerate(plan.bits)), rec)
+            frob.update({f"u{bits}.layer{layer}": e for layer, e in errs.items()})
         for tid in TASK_IDS:
-            quality[f"{name}.{tid}"] = score(qm, inp.heldout[tid], size["eval_batch"], rec,
-                                             f"{name} {tid}")
+            quality[f"{name}.{tid}"] = score(qm, inp.heldout[tid], rec, f"{name} {tid}")
     for layer in range(cfg.n_layers):
-        u4, u8, u16 = (frob[f"u{b}.layer{layer}"] for b in (4, 8, 16))
-        rec.check(u4 > u8 > u16, f"layer {layer}: frobenius_rel not decreasing in bits "
-                                 f"(u4 {u4}, u8 {u8}, u16 {u16})")
+        u8, u16 = frob[f"u8.layer{layer}"], frob[f"u16.layer{layer}"]
+        rec.check(u8 > u16, f"layer {layer}: frobenius_rel u8 {u8} not above u16 {u16}")
     return {"frob": frob, "quality": quality}
 
 
@@ -367,15 +380,21 @@ ROUNDS = {"profile": profile_round, "eval": eval_round, "train": train_round}
 
 # ------------------------------------------------------------- measuring
 
-def measure(workload: str, inp: Inputs, size: dict, seconds: float, trace: bool,
+def measure(workload: str, set_up, size: dict, seconds: float, trace: bool,
             rec: Recorder) -> tuple[list[dict], str | None]:
-    """Rounds until the next would pass ``seconds``. Returns one record per
-    round (wall time, traced or not, outputs) and the error that stopped the
-    run, if any. With ``trace`` the rounds alternate untraced and traced,
-    and there are at least two."""
+    """Rounds until the next would pass ``seconds``. Before each round,
+    ``set_up()`` runs ``size["setup_reps"]`` times, so that set-up is timed
+    all through the run and not only at its start; every round runs on the
+    first set-up's inputs. Returns one record per round (wall time, traced or not, outputs)
+    and the error that stopped the run, if any. With ``trace`` the rounds
+    alternate untraced and traced, and there are at least two."""
     rounds: list[dict] = []
+    laps: list[float] = []
     start = time.perf_counter()
     while True:
+        lap_start = time.perf_counter()
+        for _ in range(size["setup_reps"]):
+            inp = set_up()
         k = len(rounds)
         rec.tracing = trace and k % 2 == 1
         rec.run_id = f"round{k}"
@@ -394,8 +413,9 @@ def measure(workload: str, inp: Inputs, size: dict, seconds: float, trace: bool,
         if k > 0:
             rec.check(_outputs(out) == _outputs(rounds[0]["out"]),
                       f"round {k} outputs differ from round 0 on identical inputs")
-        typical = statistics.median(r["wall_s"] for r in rounds)
-        if time.perf_counter() - start + typical > seconds and (not trace or len(rounds) >= 2):
+        laps.append(time.perf_counter() - lap_start)
+        if (time.perf_counter() - start + statistics.median(laps) > seconds
+                and (not trace or len(rounds) >= 2)):
             return rounds, None
 
 
@@ -442,10 +462,11 @@ def workload_metrics(workload: str, rounds: list[dict], size: dict) -> dict[str,
     }
 
 
-def per_layer_metrics(rounds: list[dict], spans: list[dict],
-                      setup_runs: list[str]) -> dict[str, float]:
+def per_layer_metrics(rounds: list[dict], spans: list[dict], setup_runs: list[str],
+                      frob: dict[str, float]) -> dict[str, float]:
     """Per-round totals from the traced rounds' spans, median over rounds;
-    set-up figures are the median over set-up repetitions."""
+    set-up figures are the median over set-up repetitions; quantization
+    errors are ``frob`` from ``quant_error_probe``."""
     traced = [r for r in rounds if r["traced"] and r["out"] is not None]
     plain = [r for r in rounds if not r["traced"] and r["out"] is not None]
     per_round = []
@@ -465,12 +486,10 @@ def per_layer_metrics(rounds: list[dict], spans: list[dict],
         }
         for name, _ in PER_LAYER:
             span, fld = name.rsplit(".", 1)
-            if name in values or span in SETUP_SPANS or span == "trace":
+            if (name in values or span in SETUP_SPANS or span == "trace"
+                    or name.startswith("quant.frobenius_rel.")):
                 continue
-            if name.startswith("quant.frobenius_rel."):
-                key = name.removeprefix("quant.frobenius_rel.")
-                values[name] = r["out"].get("frob", {}).get(key, 0.0)
-            elif name.startswith("model.evaluate.") and name.count(".") == 4:
+            if name.startswith("model.evaluate.") and name.count(".") == 4:
                 _, _, q, plan, tid = name.split(".")
                 values[name] = r["out"].get("quality", {}).get(f"{plan}.{tid}", {}).get(q, 0.0)
             else:
@@ -484,6 +503,7 @@ def per_layer_metrics(rounds: list[dict], spans: list[dict],
     overhead = (median_of(traced, lambda r: r["wall_s"]) - median_of(plain, lambda r: r["wall_s"])
                 if traced and plain else 0.0)
     metrics["trace.overhead_s"] = overhead
+    metrics.update({f"quant.frobenius_rel.{key}": err for key, err in frob.items()})
     return {name: metrics.get(name, 0.0) for name, _ in PER_LAYER}
 
 
@@ -577,36 +597,55 @@ def main(argv=None) -> int:
     trace = bool(args.trace)
     rec = Recorder()
 
-    setup_s, setup_runs = [], []
+    setup_s: list[float] = []
+    setup_runs: list[str] = []
+    first: list[Inputs] = []
+
+    def set_up() -> Inputs:
+        k = len(setup_s)
+        rec.tracing, rec.run_id = trace, f"setup{k}"
+        t0 = time.perf_counter()
+        fresh = setup(args.workload, args.seed, size, rec)
+        setup_s.append(time.perf_counter() - t0)
+        setup_runs.append(rec.run_id)
+        rec.tracing = False
+        if not first:
+            first.append(fresh)
+        else:
+            rec.check((fresh.calib, fresh.heldout, fresh.train_items)
+                      == (first[0].calib, first[0].heldout, first[0].train_items),
+                      f"set-up {k} made different inputs from set-up 0")
+        return first[0]
+
     try:
-        for k in range(size["setup_reps"]):
-            rec.tracing, rec.run_id = trace, f"setup{k}"
-            t0 = time.perf_counter()
-            fresh = setup(args.workload, args.seed, size, rec)
-            setup_s.append(time.perf_counter() - t0)
-            setup_runs.append(rec.run_id)
-            if k:
-                rec.check((fresh.calib, fresh.heldout, fresh.train_items)
-                          == (inp.calib, inp.heldout, inp.train_items),
-                          f"set-up {k} made different inputs from set-up 0")
-            inp = fresh
+        rounds, error = measure(args.workload, set_up, size, args.seconds, trace, rec)
     except (BenchInputError, TaqError, OSError, KeyError) as exc:
         print(f"error: set-up failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    rec.tracing = False
+    done = [r["out"] for r in rounds if r["out"] is not None]
+    frob = {}
+    if done:
+        model = first[0].model or load_checkpoint(rec, first[0].cfg)
+        frob = quant_error_probe(model, rec)
+        for tid, table in done[0].get("tables", {}).items():
+            for row in table["layers"]:
+                key = f"u{row['bits']}.layer{row['layer']}"
+                if key in frob:
+                    rec.check(row["frobenius_rel"] == frob[key],
+                              f"{tid} plan's {key} error {row['frobenius_rel']} != {frob[key]}")
 
-    rounds, error = measure(args.workload, inp, size, args.seconds, trace, rec)
     context = run_context(args, size)
     results = {"context": context, "setup_s": setup_s,
                "rounds": [{k: v for k, v in r.items() if k != "out"} for r in rounds],
-               "outputs": rounds[0]["out"], "error": error, "errors": rec.errors}
+               "outputs": _outputs(done[0]) if done else None, "quant_error_probe": frob,
+               "error": error, "errors": rec.errors}
     print("context " + json.dumps(context))
     if args.workload == "profile" and rounds[0]["out"] is not None:
         for tid, table in rounds[0]["out"]["tables"].items():
             print(f"table {tid} " + json.dumps(table))
 
     if trace:
-        metrics = per_layer_metrics(rounds, rec.spans, setup_runs)
+        metrics = per_layer_metrics(rounds, rec.spans, setup_runs, frob)
         units = dict(PER_LAYER)
     else:
         plain = [r for r in rounds if not r["traced"]]
@@ -621,7 +660,7 @@ def main(argv=None) -> int:
         for name, (value, unit) in extra.items():
             print(f"metric {name} {value!r} {unit}")
         results["workload_metrics"] = {k: {"value": v, "unit": u} for k, (v, u) in extra.items()}
-        print(f"metric fail_frac {rec.failed / rec.attempted!r} ratio")
+        print(f"metric fail_frac {rec.call_errors / rec.calls!r} ratio")
     for name, value in metrics.items():
         print(f"metric {name} {value!r} {units[name]}")
     if error is not None:
@@ -629,7 +668,8 @@ def main(argv=None) -> int:
     for msg in rec.errors:
         print(msg, file=sys.stderr)
 
-    result = {"correct": rec.failed == 0, "attempted": rec.attempted, "failed": rec.failed,
+    result = {"correct": rec.failed == 0 and error is None,
+              "attempted": rec.attempted, "failed": rec.failed,
               "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}}
     results["result"] = result
     out_dir = os.path.abspath(args.out)
@@ -641,7 +681,7 @@ def main(argv=None) -> int:
         with open(os.path.join(out_dir, f"spans-{stem}.json"), "w") as f:
             json.dump(rec.spans, f)
     print(json.dumps(result))
-    return 0
+    return 0 if result["correct"] else 1
 
 
 if __name__ == "__main__":

@@ -58,6 +58,27 @@ def test_workload_emits_every_metric(workload, trace, tmp_path):
         assert (tmp_path / f"spans-{workload}-seed3-trace1.json").is_file()
 
 
+@pytest.mark.parametrize("patch", [
+    # A failed output check: every plan reads as not monotone.
+    "run.check_monotone = lambda plan, rel: False",
+    # A raised TaqError: allocation fails and stops the round.
+    "from taq.errors import TaqError\n"
+    "def boom(*a, **k): raise TaqError('injected')\n"
+    "run.allocate_rank = boom",
+])
+def test_failure_exits_nonzero(patch, tmp_path):
+    """A failed check or a raised TaqError makes the run exit 1 with
+    ``correct`` false, so it cannot pass as a result."""
+    script = (f"import sys\nsys.path.insert(0, {str(BENCH)!r})\nimport run\n{patch}\n"
+              "sys.exit(run.main(['--workload', 'profile', '--seed', '3', '--seconds', '1', "
+              f"'--trace', '0', '--size', 'toy', '--out', {str(tmp_path)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                          text=True, timeout=150)
+    assert proc.returncode == 1, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not result["correct"] and result["failed"] >= 1
+
+
 def test_fails_without_the_program(tmp_path):
     """In a directory holding only BENCHMARK.json and the benchmark, the run
     exits non-zero without printing a result."""
