@@ -28,8 +28,8 @@ checkpoint's training data is dropped), training items and sampling streams.
 A run repeats one round of the workload on identical inputs until
 ``--seconds`` would be exceeded, and sets up ``setup_reps`` times before each
 round; times are medians over rounds and over set-ups. Held-out items are
-scored by one ``evaluate`` call per plan and task, with its default decode
-budget. Each round's outputs are checked, and must equal the first round's.
+scored by ``evaluate`` calls on fixed batches of 16 items, with its default
+decode budget. Each round's outputs are checked, and must equal the first round's.
 After the rounds, untimed, every layer of the checkpoint is quantized at u4
 and u8 for the per-layer quantization errors. With ``--trace 1`` the rounds
 alternate untraced and traced; per-layer figures come from the traced
@@ -78,10 +78,10 @@ from taq.tasks import PAD, TASK_IDS, ToyTask, gen_task
 
 WORKLOADS = ("profile", "eval", "train")
 SIZES = {
-    "full": {"calib_prompts": 512, "capture_batch": 64, "eval_items": 128,
+    "full": {"calib_prompts": 512, "capture_batch": 64, "eval_items": 128, "eval_batch": 16,
              "train_steps": 100, "setup_reps": 5},
     # For the smoke test: every code path, a few seconds per workload.
-    "toy": {"calib_prompts": 4, "capture_batch": 4, "eval_items": 4,
+    "toy": {"calib_prompts": 4, "capture_batch": 4, "eval_items": 4, "eval_batch": 2,
             "train_steps": 3, "setup_reps": 2},
 }
 LADDER = (("fp32", None), ("u16", 16), ("u8", 8), ("u4", 4))
@@ -271,15 +271,26 @@ def quant_error_probe(model: ToyModel, rec: Recorder) -> dict[str, float]:
     return frob
 
 
-def score(model: ToyModel, items, rec: Recorder, label: str) -> dict:
-    """EM and F1 over ``items``: one ``evaluate`` call with its default
-    decode budget."""
-    with rec.call("model.evaluate", items=len(items)):
-        res = evaluate(model, items)
-    rec.check(res.n_items == len(items), f"{label}: n_items {res.n_items} != {len(items)}")
-    rec.check(0.0 <= res.exact_match <= 100.0 and 0.0 <= res.token_f1 <= 100.0,
-              f"{label}: EM {res.exact_match} / F1 {res.token_f1} outside [0, 100]")
-    return {"em": res.exact_match, "f1": res.token_f1, "degenerate_pairs": res.degenerate_pairs}
+def score(model: ToyModel, items, batch: int, rec: Recorder, label: str) -> dict:
+    """EM and F1 over ``items``: one ``evaluate`` call, with its default
+    decode budget, per batch of ``batch`` items. A batch decodes until its
+    last answer ends, so a fixed batch size keeps one answer that runs to the
+    budget from setting the decode length of every item, which would make
+    the decode time depend on the seed. EM and F1 are the item means, as one
+    call over all items gives them."""
+    hits, f1_sum, degenerate = 0, 0.0, 0
+    for start in range(0, len(items), batch):
+        chunk = items[start:start + batch]
+        with rec.call("model.evaluate", items=len(chunk)):
+            res = evaluate(model, chunk)
+        rec.check(res.n_items == len(chunk), f"{label}: n_items {res.n_items} != {len(chunk)}")
+        rec.check(0.0 <= res.exact_match <= 100.0 and 0.0 <= res.token_f1 <= 100.0,
+                  f"{label}: EM {res.exact_match} / F1 {res.token_f1} outside [0, 100]")
+        hits += round(res.exact_match * res.n_items / 100.0)
+        f1_sum += res.token_f1 * res.n_items
+        degenerate += res.degenerate_pairs
+    n = len(items)
+    return {"em": 100.0 * hits / n, "f1": f1_sum / n, "degenerate_pairs": degenerate}
 
 
 def profile_round(inp: Inputs, size: dict, rec: Recorder) -> dict:
@@ -324,7 +335,7 @@ def profile_round(inp: Inputs, size: dict, rec: Recorder) -> dict:
         qm, frob = quantize(model, layer_bits, rec)
         for layer, err in frob.items():
             tables[tid]["layers"][layer]["frobenius_rel"] = err
-        quality[f"taq.{tid}"] = score(qm, inp.heldout[tid], rec, f"taq {tid}")
+        quality[f"taq.{tid}"] = score(qm, inp.heldout[tid], size["eval_batch"], rec, f"taq {tid}")
         tables[tid]["degenerate_pairs"] = quality[f"taq.{tid}"]["degenerate_pairs"]
     return {"plan_s": plan_s, "tables": tables, "quality": quality}
 
@@ -356,7 +367,8 @@ def eval_round(inp: Inputs, size: dict, rec: Recorder) -> dict:
             qm, errs = quantize(model, dict(enumerate(plan.bits)), rec)
             frob.update({f"u{bits}.layer{layer}": e for layer, e in errs.items()})
         for tid in TASK_IDS:
-            quality[f"{name}.{tid}"] = score(qm, inp.heldout[tid], rec, f"{name} {tid}")
+            quality[f"{name}.{tid}"] = score(qm, inp.heldout[tid], size["eval_batch"], rec,
+                                             f"{name} {tid}")
     for layer in range(cfg.n_layers):
         u8, u16 = frob[f"u8.layer{layer}"], frob[f"u16.layer{layer}"]
         rec.check(u8 > u16, f"layer {layer}: frobenius_rel u8 {u8} not above u16 {u16}")
