@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetInfeasible, InvalidInput, ModelTooSmall, OracleTooLarge
+from .errors import BudgetInfeasible, InvalidConfig, InvalidInput, ModelTooSmall, OracleTooLarge
 from .quant import ADMISSIBLE_BITS
 
 PIN_FULL_BITS = 32
@@ -73,19 +73,17 @@ class AllocConfig:
             raise InvalidInput("edge_pin must be >= 0")
 
 
-def plan_cost(plan: BitPlan, cost: CostModel) -> int:
-    """Total weight-bits of a plan; pinned layers count at 32 bits/weight."""
-    return cost.cost(plan.bits)
-
-
 def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
                   cost_model: CostModel | None = None) -> BitPlan:
     """Rank non-edge layers by relevance and assign 16/8/4 bits by fraction.
 
     The top ceil(f16 * M) layers get 16 bits, the next ceil(f8 * M) get 8,
     the rest 4 (M = non-edge count). Ties break toward the lower layer
-    index. Raises BudgetInfeasible when a budget is set and exceeded.
+    index. Raises BudgetInfeasible when a budget is set and exceeded, and
+    InvalidConfig when a budget is set without a cost model to check it.
     """
+    if cfg.budget is not None and cost_model is None:
+        raise InvalidConfig(f"budget {cfg.budget} needs a cost model to be checked")
     r = np.asarray(relevance, dtype=np.float64)
     n = r.size
     if n < 2 * cfg.edge_pin + 1:
@@ -107,7 +105,7 @@ def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
         else:
             bits[layer] = 4
     cost = cost_model.cost(bits) if cost_model is not None else None
-    if cfg.budget is not None and cost is not None and cost > cfg.budget:
+    if cfg.budget is not None and cost > cfg.budget:
         raise BudgetInfeasible(
             f"rank plan costs {cost} weight-bits, budget is {cfg.budget}",
             achieved_cost=cost, budget=cfg.budget)

@@ -52,11 +52,7 @@ class IoError(TaqError):
 
 
 class ConvergenceError(TaqError):
-    """Iterative solver failed to converge within its sweep cap."""
-
-    def __init__(self, message: str, off_diagonal_norm: float):
-        super().__init__(message)
-        self.off_diagonal_norm = off_diagonal_norm
+    """A LAPACK routine (the SVD behind the spectral entropy) did not converge."""
 
 
 class BudgetInfeasible(TaqError):

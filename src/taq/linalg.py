@@ -1,15 +1,15 @@
 """Dense float64 linear algebra and the deterministic RNG used by every stage.
 
-All analysis math runs in 64-bit floats. The eigensolver is a cyclic Jacobi
-iteration (eigenvalues only), adequate for the small symmetric PSD matrices
-this pipeline produces. The RNG is a splitmix-style 64-bit generator with
-Box-Muller normals, so value streams are identical across platforms.
+All analysis math runs in 64-bit floats. Gram spectra come from LAPACK's
+SVD (through numpy) of the data matrix; the Gram itself is never formed. The
+RNG is a splitmix-style 64-bit generator with Box-Muller normals, so value
+streams are identical across platforms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _DERIVE_SALT = 0xD1B54A32D192ED03
-
-# Eigenvalues in (-EIG_NOISE_FLOOR, 0) are numerical noise on PSD inputs and
-# are zeroed; genuinely negative eigenvalues pass through unchanged.
-EIG_NOISE_FLOOR = 1e-9
-
-JACOBI_MAX_SWEEPS = 100
-JACOBI_REL_TOL = 1e-12
 
 
 def _mix64(z: int) -> int:
@@ -148,94 +141,21 @@ class SeededRng:
         return SeededRng(child_seed)
 
 
-def rng_normal(rng: SeededRng, n: int) -> np.ndarray:
-    """Deterministic stream of n standard normal float64 draws."""
-    return rng.normals(n)
-
-
-def gram_matrix(z: Tensor) -> Tensor:
-    """Row Gram matrix K = (1/r) Z Z^T, symmetrized exactly.
-
-    K is positive semi-definite for any real Z.
-    """
-    r = z.rows
-    k = z.values @ z.values.T / float(r)
-    k = (k + k.T) * 0.5
-    return Tensor(k, label="gram")
-
-
 def center_rows(x: Tensor) -> Tensor:
     """Subtract the per-column mean so output column means are zero."""
     centered = x.values - x.values.mean(axis=0, keepdims=True)
     return Tensor(centered, label=x.label)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.sqrt(np.sum(b * b)))
+def gram_spectrum(z: Tensor) -> np.ndarray:
+    """Eigenvalues of the row Gram (1/r) Z Z^T, sorted descending.
 
-
-def _jacobi_eigvals(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi eigenvalues of a symmetric matrix, unsorted."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    norm = float(np.sqrt(np.sum(a * a)))
-    if norm == 0.0:
-        return np.zeros(n)
-    tol = JACOBI_REL_TOL * norm
-    # Skipping rotations far below the convergence tolerance saves sweeps
-    # without affecting where the iteration stops.
-    rot_floor = tol / (10.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= tol:
-            return np.diag(a).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= rot_floor:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    off = _offdiag_norm(a)
-    if off <= tol:
-        return np.diag(a).copy()
-    raise ConvergenceError(
-        f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-        f"(off-diagonal norm {off:.3e})", off)
-
-
-def sym_eigvals(k: Tensor) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending.
-
-    The input is symmetrized as (K + K^T)/2 before solving; asymmetry beyond
-    1e-9 is rejected. Negative eigenvalues of magnitude below 1e-9 are
-    numerical noise on PSD inputs and are zeroed; larger negative values are
-    returned as-is.
+    Computed as squared singular values of Z, so the Gram is never formed:
+    the result is non-negative by construction and has min(r, d) entries;
+    the remaining eigenvalues of an r x r Gram with r > d are exactly zero.
     """
-    if k.rows != k.cols:
-        raise InvalidShape(f"sym_eigvals needs a square matrix, got {k.rows}x{k.cols}")
-    asym = float(np.max(np.abs(k.values - k.values.T)))
-    if asym > 1e-9:
-        raise InvalidInput(f"matrix is not symmetric within 1e-9 (max asymmetry {asym:.3e})")
-    a = ((k.values + k.values.T) * 0.5).copy()
-    vals = _jacobi_eigvals(a)
-    vals = np.where((vals < 0.0) & (vals > -EIG_NOISE_FLOOR), 0.0, vals)
-    return np.sort(vals)[::-1].copy()
+    try:
+        s = np.linalg.svd(z.values, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge on a {z.rows}x{z.cols} matrix") from exc
+    return s * s / float(z.rows)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -428,27 +428,32 @@ class EvalResult:
 
 def greedy_decode(model: ToyModel, prompts: list[list[int]],
                   max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> list[list[int]]:
-    """Batched greedy decoding; generation stops at EOS or the length cap."""
+    """Batched greedy decoding; generation stops at EOS or the length cap.
+
+    Each step forwards only the rows still generating: a row leaves the
+    batch once it emits EOS or reaches max_seq, so a finished row never
+    lengthens the batch past max_seq or costs the others any work.
+    """
+    if any(len(p) == 0 for p in prompts):
+        raise InvalidInput("every prompt needs at least one token")
     cfg = model.config
     seqs = [list(p) for p in prompts]
     preds: list[list[int]] = [[] for _ in prompts]
-    done = [False] * len(prompts)
+    active = list(range(len(seqs)))
     for _ in range(max_new_tokens):
-        if all(done):
+        if not active:
             break
-        tokens = _pad_batch(seqs)
-        logits = forward(model, tokens)
-        for i, seq in enumerate(seqs):
-            if done[i]:
-                continue
-            nxt = int(np.argmax(logits[i, len(seq) - 1]))
+        logits = forward(model, _pad_batch([seqs[i] for i in active]))
+        still = []
+        for row, i in enumerate(active):
+            nxt = int(np.argmax(logits[row, len(seqs[i]) - 1]))
             if nxt == EOS:
-                done[i] = True
                 continue
             preds[i].append(nxt)
-            seq.append(nxt)
-            if len(seq) >= cfg.max_seq:
-                done[i] = True
+            seqs[i].append(nxt)
+            if len(seqs[i]) < cfg.max_seq:
+                still.append(i)
+        active = still
     return preds
 
 

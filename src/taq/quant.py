@@ -9,7 +9,7 @@ cached dequantized tensor (dequantize-then-multiply model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,8 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 def fit_minmax(group, bits: int) -> QuantParams:
     """Min-max parameters: scale spans the group range, zero-point is the min.
 
-    Constant groups hit the 1e-12 scale floor and round-trip exactly.
+    Constant groups hit the 1e-12 scale floor and round-trip exactly. Groups
+    with a non-finite value, or a range too wide for float64, are rejected.
     """
     arr = np.asarray(group, dtype=np.float64)
     if arr.size == 0:
@@ -57,6 +58,8 @@ def fit_minmax(group, bits: int) -> QuantParams:
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
     lo = float(arr.min())
     hi = float(arr.max())
+    if not math.isfinite(hi - lo):
+        raise InvalidInput(f"group range [{lo}, {hi}] is not finite")
     scale = max((hi - lo) / ((1 << bits) - 1), SCALE_FLOOR)
     return QuantParams(scale=scale, zero_point=lo, bits=bits)
 

@@ -9,13 +9,12 @@ drives bit allocation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidConfig, InvalidInput, InvalidShape
-from .linalg import SeededRng, Tensor, center_rows, sym_eigvals
+from .linalg import SeededRng, Tensor, center_rows, gram_spectrum
 
 DEFAULT_RESERVOIR_CAPACITY = 256
 DEFAULT_ALPHA = 0.5
@@ -84,11 +83,6 @@ class StreamingMoments:
         self.n += arr.size
 
 
-def update_moments(m: StreamingMoments, values) -> StreamingMoments:
-    m.update(values)
-    return m
-
-
 def variance_and_stability(m: StreamingMoments) -> tuple[float, float]:
     """Population variance from the running moments, and its negation."""
     if m.n < 1:
@@ -103,27 +97,16 @@ def spectral_entropy(reservoir: Reservoir) -> tuple[float, bool]:
 
     Returns (entropy_nats, degenerate). Degenerate means every eigenvalue
     fell below the keep threshold (all reservoir rows identical), in which
-    case the entropy is 0 by convention.
-
-    The nonzero spectrum of (1/r) Z Z^T equals that of (1/r) Z^T Z, so the
-    smaller of the two Grams is eigensolved; dropped zero eigenvalues do not
-    affect the normalized spectrum.
+    case the entropy is 0 by convention. This is the log of the effective
+    rank of Roy & Vetterli (EUSIPCO 2007).
     """
     if len(reservoir) < 1:
         raise InsufficientData("reservoir is empty")
-    z = center_rows(Tensor(reservoir.rows())).values
-    r, d = z.shape
-    if d < r:
-        k = Tensor((z.T @ z + (z.T @ z).T) * (0.5 / r))
-    else:
-        k = Tensor((z @ z.T + (z @ z.T).T) * (0.5 / r))
-    eigvals = sym_eigvals(k)
-    lam_max = float(eigvals[0]) if eigvals.size else 0.0
+    eigvals = gram_spectrum(center_rows(Tensor(reservoir.rows())))
+    lam_max = float(eigvals[0])
     if lam_max <= 0.0:
         return 0.0, True
     kept = eigvals[eigvals >= EIG_KEEP_REL * lam_max]
-    if kept.size == 0:
-        return 0.0, True
     norm = kept / kept.sum()
     entropy = float(-(norm * np.log(norm)).sum())
     return max(entropy, 0.0), False

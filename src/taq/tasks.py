@@ -13,7 +13,7 @@ pairs whose sum collides with a reserved id rejected at generation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .linalg import SeededRng

@@ -10,10 +10,9 @@ from taq.alloc import (
     allocate_knapsack_exact,
     allocate_rank,
     check_monotone,
-    plan_cost,
     uniform_plan,
 )
-from taq.errors import BudgetInfeasible, ModelTooSmall, OracleTooLarge
+from taq.errors import BudgetInfeasible, InvalidConfig, ModelTooSmall, OracleTooLarge
 from taq.linalg import SeededRng
 
 
@@ -70,6 +69,10 @@ class TestAllocateRank:
             allocate_rank(r, cfg, cost)
         assert exc.value.achieved_cost > 100
 
+    def test_budget_without_cost_model_rejected(self):
+        with pytest.raises(InvalidConfig):
+            allocate_rank(np.zeros(8), AllocConfig(budget=10))
+
     def test_monotone_invariant_random(self):
         rng = SeededRng(67)
         for trial in range(100):
@@ -82,25 +85,25 @@ class TestAllocateRank:
 class TestPlanCost:
     def test_all_4bit_arithmetic(self):
         plan = uniform_plan(5, 4)
-        assert plan_cost(plan, CostModel((100,) * 5)) == 2000
+        assert CostModel((100,) * 5).cost(plan.bits) == 2000
 
     def test_pointwise_dominance(self):
         cost = CostModel((10, 20, 30))
         lo = BitPlan(bits=[4, 8, 4], pinned=frozenset(), budget=None, cost=None)
         hi = BitPlan(bits=[8, 8, 16], pinned=frozenset(), budget=None, cost=None)
-        assert plan_cost(lo, cost) <= plan_cost(hi, cost)
+        assert cost.cost(lo.bits) <= cost.cost(hi.bits)
 
     def test_mixed_plan_hand_sum(self):
         plan = BitPlan(bits=[32, 16, 8, 4], pinned=frozenset({0}), budget=None,
                        cost=None)
         cost = CostModel((3, 5, 7, 11))
-        assert plan_cost(plan, cost) == 3 * 32 + 5 * 16 + 7 * 8 + 11 * 4
+        assert cost.cost(plan.bits) == 3 * 32 + 5 * 16 + 7 * 8 + 11 * 4
 
     def test_pinned_counted_at_32(self):
         r = [0.0] * 8
         plan = allocate_rank(r)
         cost = CostModel((1,) * 8)
-        assert plan_cost(plan, cost) == 4 * 32 + 16 + 2 * 8 + 4
+        assert cost.cost(plan.bits) == 4 * 32 + 16 + 2 * 8 + 4
 
 
 class TestKnapsackExact:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from taq.errors import InvalidInput, InvalidShape
-from taq.linalg import SeededRng, Tensor, center_rows, gram_matrix, rng_normal, sym_eigvals
+from taq.errors import ConvergenceError, InvalidInput, InvalidShape
+from taq.linalg import SeededRng, Tensor, center_rows, gram_spectrum
 
 from oracles import charpoly_roots, gram_triple_loop
 
@@ -29,27 +29,30 @@ class TestTensor:
 
 
 class TestGramMatrix:
+    """The spectrum of the row Gram (1/r) Z Z^T that gram_spectrum returns,
+    checked against the Gram built by the triple-loop oracle."""
+
     def test_identity(self):
-        k = gram_matrix(Tensor(np.eye(2)))
-        np.testing.assert_allclose(k.values, [[0.5, 0.0], [0.0, 0.5]])
+        np.testing.assert_allclose(gram_spectrum(Tensor(np.eye(2))), [0.5, 0.5])
 
     def test_zeros(self):
-        k = gram_matrix(Tensor(np.zeros((3, 4))))
-        np.testing.assert_array_equal(k.values, np.zeros((3, 3)))
+        np.testing.assert_array_equal(gram_spectrum(Tensor(np.zeros((3, 4)))), np.zeros(3))
 
     def test_matches_triple_loop_oracle(self):
+        # sum of squared eigenvalues = squared Frobenius norm of the Gram
         rng = SeededRng(7)
         z = rng.normals(24).reshape(4, 6)
-        k = gram_matrix(Tensor(z))
-        np.testing.assert_allclose(k.values, gram_triple_loop(z), atol=1e-12)
+        vals = gram_spectrum(Tensor(z))
+        assert abs((vals ** 2).sum() - (gram_triple_loop(z) ** 2).sum()) <= 1e-12
 
     def test_symmetric_and_psd(self):
+        # a PSD Gram has a non-negative spectrum, returned descending
         rng = SeededRng(11)
         for trial in range(10):
             z = rng.normals(5 * 7).reshape(5, 7)
-            k = gram_matrix(Tensor(z))
-            assert np.max(np.abs(k.values - k.values.T)) <= 1e-10
-            assert min(sym_eigvals(k)) >= -1e-9
+            vals = gram_spectrum(Tensor(z))
+            assert vals.min() >= 0.0
+            assert np.all(np.diff(vals) <= 0.0)
 
 
 class TestCenterRows:
@@ -72,61 +75,60 @@ class TestCenterRows:
 
 
 class TestSymEigvals:
+    """gram_spectrum(z) as the eigenvalues of the symmetric Gram of z,
+    checked against characteristic-polynomial roots and the trace."""
+
     def test_diagonal(self):
-        vals = sym_eigvals(Tensor([[2.0, 0.0], [0.0, 3.0]]))
-        np.testing.assert_allclose(vals, [3.0, 2.0])
+        vals = gram_spectrum(Tensor([[2.0, 0.0], [0.0, 3.0]]))
+        np.testing.assert_allclose(vals, [4.5, 2.0])
 
-    def test_offdiagonal_keeps_genuine_negative(self):
-        vals = sym_eigvals(Tensor([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(vals, [1.0, -1.0], atol=1e-12)
-
-    def test_noise_negative_clamped(self):
-        vals = sym_eigvals(Tensor([[1.0, 0.0], [0.0, -1e-10]]))
-        assert vals[1] == 0.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(InvalidShape):
-            sym_eigvals(Tensor(np.zeros((2, 3))))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InvalidInput):
-            sym_eigvals(Tensor([[0.0, 1.0], [0.0, 0.0]]))
+    def test_tall_and_wide(self):
+        # min(r, d) eigenvalues; the rest of an r x r Gram with r > d are zero
+        rng = SeededRng(23)
+        for r, d in [(7, 3), (3, 7)]:
+            z = rng.normals(r * d).reshape(r, d)
+            want = np.sort(np.linalg.eigvalsh(gram_triple_loop(z)))[::-1][: min(r, d)]
+            np.testing.assert_allclose(gram_spectrum(Tensor(z)), want, atol=1e-12)
 
     def test_matches_charpoly_roots_3x3(self):
         rng = SeededRng(13)
         for trial in range(20):
-            m = rng.normals(9).reshape(3, 3)
-            k = (m + m.T) / 2
-            got = sym_eigvals(Tensor(k))
-            want = charpoly_roots(k)
+            z = rng.normals(15).reshape(3, 5)
+            got = gram_spectrum(Tensor(z))
+            want = charpoly_roots(gram_triple_loop(z))
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_matches_charpoly_roots_n_le_4(self):
         rng = SeededRng(17)
         for n in (1, 2, 3, 4):
             for trial in range(10):
-                m = rng.normals(n * n).reshape(n, n)
-                k = (m + m.T) / 2
-                got = sym_eigvals(Tensor(k))
-                want = charpoly_roots(k)
+                z = rng.normals(n * (n + 2)).reshape(n, n + 2)
+                got = gram_spectrum(Tensor(z))
+                want = charpoly_roots(gram_triple_loop(z))
                 np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_trace_identity(self):
         rng = SeededRng(19)
-        for n in (2, 5, 16, 33):
-            m = rng.normals(n * n).reshape(n, n)
-            k = (m + m.T) / 2
-            vals = sym_eigvals(Tensor(k))
-            assert abs(vals.sum() - np.trace(k)) <= 1e-8 * n
+        for r, d in [(2, 2), (5, 3), (16, 16), (33, 8), (8, 33)]:
+            z = rng.normals(r * d).reshape(r, d)
+            vals = gram_spectrum(Tensor(z))
+            assert abs(vals.sum() - (z * z).sum() / r) <= 1e-12 * (z * z).sum()
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            gram_spectrum(Tensor(np.eye(3)))
 
 
 class TestSeededRng:
     def test_empty_draw(self):
-        assert list(rng_normal(SeededRng(1), 0)) == []
+        assert list(SeededRng(1).normals(0)) == []
 
     def test_same_seed_same_stream(self):
-        a = rng_normal(SeededRng(42), 8)
-        b = rng_normal(SeededRng(42), 8)
+        a = SeededRng(42).normals(8)
+        b = SeededRng(42).normals(8)
         np.testing.assert_array_equal(a, b)
 
     def test_scalar_batch_equivalence(self):
@@ -136,7 +138,7 @@ class TestSeededRng:
         np.testing.assert_array_equal(batched, singles)
 
     def test_moments(self):
-        draws = rng_normal(SeededRng(123), 100_000)
+        draws = SeededRng(123).normals(100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 

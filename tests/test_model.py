@@ -254,6 +254,31 @@ class TestEvaluate:
         assert (a.exact_match, a.token_f1) == (b.exact_match, b.token_f1)
 
 
+class TestGreedyDecode:
+    def test_max_seq_prompt_batched_with_short_one(self):
+        # the full-length row ends after one token and must leave the batch
+        model = init_model(SMALL)
+        rng = SeededRng(29)
+        long = [7 + rng.randint(SMALL.vocab - 7) for _ in range(SMALL.max_seq)]
+        short = [4, 9, 11, SEP]
+        batched = greedy_decode(model, [long, short], max_new_tokens=6)
+        assert batched == [greedy_decode(model, [long], max_new_tokens=6)[0],
+                           greedy_decode(model, [short], max_new_tokens=6)[0]]
+        assert len(batched[0]) <= 1
+
+    def test_random_batch_matches_per_row(self):
+        model = init_model(SMALL)
+        rng = SeededRng(31)
+        prompts = [[rng.randint(SMALL.vocab) for _ in range(1 + rng.randint(SMALL.max_seq))]
+                   for _ in range(12)]
+        batched = greedy_decode(model, prompts, max_new_tokens=8)
+        assert batched == [greedy_decode(model, [p], max_new_tokens=8)[0] for p in prompts]
+
+    def test_empty_prompt_rejected(self):
+        with pytest.raises(InvalidInput):
+            greedy_decode(init_model(SMALL), [[4, SEP], []])
+
+
 def test_layer_weight_counts():
     cfg = ModelConfig()
     counts = layer_weight_counts(cfg)

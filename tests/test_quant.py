@@ -41,6 +41,12 @@ class TestFitMinmax:
         with pytest.raises(InvalidInput):
             fit_minmax([1.0], bits=5)
 
+    def test_non_finite_range_rejected(self):
+        # [-1e308, 1e308]: hi - lo overflows float64 to an infinite scale
+        for group in ([-1e308, 1e308], [0.0, np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(InvalidInput):
+                fit_minmax(group, bits=8)
+
     def test_round_trip_bound_random_group(self):
         rng = SeededRng(21)
         group = rng.normals(128)

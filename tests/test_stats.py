@@ -14,7 +14,6 @@ from taq.stats import (
     relevance,
     spectral_entropy,
     task_direction,
-    update_moments,
     variance_and_stability,
     zscore,
 )
@@ -67,15 +66,15 @@ class TestReservoir:
 class TestStreamingMoments:
     def test_symmetric_pair(self):
         m = StreamingMoments()
-        update_moments(m, [1.0, -1.0])
+        m.update([1.0, -1.0])
         assert (m.s1, m.s2, m.n) == (0.0, 2.0, 2)
 
     def test_additivity(self):
         a = StreamingMoments()
-        update_moments(a, [1.0, 2.0])
-        update_moments(a, [3.0, 4.0])
+        a.update([1.0, 2.0])
+        a.update([3.0, 4.0])
         b = StreamingMoments()
-        update_moments(b, [1.0, 2.0, 3.0, 4.0])
+        b.update([1.0, 2.0, 3.0, 4.0])
         assert (a.s1, a.s2, a.n) == (b.s1, b.s2, b.n)
 
     def test_matches_two_pass_variance(self):
@@ -83,7 +82,7 @@ class TestStreamingMoments:
         stream = rng.normals(4096) * 3.0 + 1.5
         m = StreamingMoments()
         for chunk in np.array_split(stream, 17):
-            update_moments(m, chunk)
+            m.update(chunk)
         var, stab = variance_and_stability(m)
         want = two_pass_variance(stream)
         assert abs(var - want) <= 1e-9 * want
@@ -91,13 +90,13 @@ class TestStreamingMoments:
 
     def test_constant_stream(self):
         m = StreamingMoments()
-        update_moments(m, [2.5, 2.5])
+        m.update([2.5, 2.5])
         var, stab = variance_and_stability(m)
         assert var == 0.0 and stab == 0.0
 
     def test_analytic_pair(self):
         m = StreamingMoments()
-        update_moments(m, [1.0, -1.0])
+        m.update([1.0, -1.0])
         var, stab = variance_and_stability(m)
         assert var == 1.0 and stab == -1.0
 
