@@ -1,5 +1,4 @@
-"""Bitwidth allocation: relevance-ranked assignment under a bit budget,
-plus an exhaustive knapsack oracle used to validate it.
+"""Bitwidth allocation: relevance-ranked assignment under a bit budget.
 
 The rank allocator pins edge layers at full precision, sorts the remaining
 layers by relevance, and hands out 16/8/4 bits by rank fractions. Cost is
@@ -8,13 +7,12 @@ counted in weight-bits with pinned layers at 32 bits per weight.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetInfeasible, InvalidConfig, InvalidInput, ModelTooSmall, OracleTooLarge
+from .errors import BudgetInfeasible, InvalidConfig, InvalidInput, ModelTooSmall
 from .quant import ADMISSIBLE_BITS
 
 PIN_FULL_BITS = 32
@@ -122,41 +120,6 @@ def uniform_plan(n_layers: int, bits: int,
     cost = cost_model.cost(plan_bits) if cost_model is not None else None
     return BitPlan(bits=plan_bits, pinned=frozenset(), budget=None, cost=cost,
                    source=f"uniform:{bits}")
-
-
-def allocate_knapsack_exact(relevance, cost_model: CostModel, budget: float,
-                            gain=None, max_layers: int = 10) -> BitPlan:
-    """Exhaustive-search oracle over all {4,8,16}^N plans.
-
-    Returns the feasible plan maximizing total gain; the default gain is
-    relevance * bits, which is monotone in both. Enumeration order makes
-    tie-breaking deterministic (first optimum found wins).
-    """
-    r = np.asarray(relevance, dtype=np.float64)
-    n = r.size
-    if n > max_layers:
-        raise OracleTooLarge(f"{n} layers exceeds the exhaustive bound {max_layers}")
-    if gain is None:
-        gain = lambda layer, bits: r[layer] * bits
-    best_bits = None
-    best_gain = -math.inf
-    best_cost = None
-    for combo in itertools.product(ADMISSIBLE_BITS, repeat=n):
-        cost = cost_model.cost(combo)
-        if cost > budget:
-            continue
-        total = sum(gain(i, b) for i, b in enumerate(combo))
-        if total > best_gain:
-            best_bits = list(combo)
-            best_gain = total
-            best_cost = cost
-    if best_bits is None:
-        min_cost = cost_model.cost([min(ADMISSIBLE_BITS)] * n)
-        raise BudgetInfeasible(
-            f"no feasible plan: cheapest plan costs {min_cost}, budget {budget}",
-            achieved_cost=min_cost, budget=budget)
-    return BitPlan(bits=best_bits, pinned=frozenset(), budget=budget,
-                   cost=best_cost, source="exhaustive")
 
 
 def check_monotone(plan: BitPlan, relevance) -> bool:

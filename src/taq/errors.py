@@ -39,10 +39,6 @@ class ModelTooSmall(TaqError):
     """Layer count too small for edge pinning plus at least one mid layer."""
 
 
-class OracleTooLarge(TaqError):
-    """Exhaustive search space exceeds the configured bound."""
-
-
 class TrainingDiverged(TaqError):
     """Training loss became non-finite."""
 
@@ -58,9 +54,7 @@ class ConvergenceError(TaqError):
 class BudgetInfeasible(TaqError):
     """Assigned plan exceeds the bit budget."""
 
-    def __init__(self, message: str, achieved_cost: int, budget: float,
-                 suggested_gamma: float | None = None):
+    def __init__(self, message: str, achieved_cost: int, budget: float):
         super().__init__(message)
         self.achieved_cost = achieved_cost
         self.budget = budget
-        self.suggested_gamma = suggested_gamma

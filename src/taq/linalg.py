@@ -82,10 +82,6 @@ class SeededRng:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix64(self._state)
 
-    def uniform(self) -> float:
-        """Uniform float in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo reduction; bias is negligible
         for the n used here and determinism is what matters."""

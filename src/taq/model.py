@@ -6,8 +6,8 @@ Forward, analytic backward, SGD training with gradient clipping, greedy
 decoding, and EM / token-F1 evaluation all live here. Activation capture
 hooks observe each block's post-residual output without altering results.
 
-Quantized execution swaps a layer's weight matrices for the cached
-dequantization of their QTensors; everything else is unchanged.
+Quantized execution swaps a layer's weight matrices for the dequantized
+weights of their QTensors; everything else is unchanged.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class ToyModel:
     """Parameters plus optional per-tensor quantization overrides.
 
     ``params`` maps names to float64 arrays and is never read through when a
-    name has a QTensor override; overrides execute via their cached
-    dequantized weights.
+    name has a QTensor override; overrides execute via their dequantized
+    weights.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
@@ -115,14 +115,13 @@ class ToyModel:
     def weight(self, name: str) -> np.ndarray:
         qt = self.qtensors.get(name)
         if qt is not None:
-            return qt.dequantized()
+            return qt.weights
         return self.params[name]
 
     def clone_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def with_quantized_layers(self, layer_bits: dict[int, int], group_size: int,
-                              cache: bool = True) -> "ToyModel":
+    def with_quantized_layers(self, layer_bits: dict[int, int], group_size: int) -> "ToyModel":
         """New model sharing full-precision params, with the given layers'
         weight matrices quantized at the given bitwidths (min-max fit)."""
         qtensors = {}
@@ -132,8 +131,7 @@ class ToyModel:
                                   f"{self.config.n_layers} layers")
             for name in quantizable_names(self.config, layer):
                 qtensors[name] = quantize_tensor(
-                    Tensor(self.params[name], label=name), bits, group_size,
-                    cache=cache)
+                    Tensor(self.params[name], label=name), bits, group_size)
         return ToyModel(self.config, self.params, qtensors)
 
 

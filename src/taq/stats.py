@@ -69,26 +69,37 @@ class Reservoir:
 
 @dataclass
 class StreamingMoments:
-    """Scalar running sum, sum of squares, and count over all activation
-    elements of one layer."""
+    """Count, mean and sum of squared deviations (``m2``) over all activation
+    elements of one layer.
 
-    s1: float = 0.0
-    s2: float = 0.0
+    Each batch is reduced about its own mean and merged with the pairwise
+    update of Chan, Golub & LeVeque (1979), so a large mean does not cancel
+    the variance the way ``s2/n - mean**2`` does.
+    """
+
     n: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
 
     def update(self, values) -> None:
         arr = np.asarray(values, dtype=np.float64)
-        self.s1 += float(arr.sum())
-        self.s2 += float((arr * arr).sum())
-        self.n += arr.size
+        nb = arr.size
+        if nb == 0:
+            return
+        mean_b = float(arr.mean())
+        m2_b = float(np.square(arr - mean_b).sum())
+        n = self.n + nb
+        delta = mean_b - self.mean
+        self.mean += delta * nb / n
+        self.m2 += m2_b + delta * delta * self.n * nb / n
+        self.n = n
 
 
 def variance_and_stability(m: StreamingMoments) -> tuple[float, float]:
-    """Population variance from the running moments, and its negation."""
+    """Population variance ``m2 / n`` from the running moments, and its negation."""
     if m.n < 1:
         raise InsufficientData("no elements accumulated")
-    mean = m.s1 / m.n
-    var = max(m.s2 / m.n - mean * mean, 0.0)
+    var = m.m2 / m.n
     return var, -var
 
 

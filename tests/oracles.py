@@ -6,6 +6,9 @@ formulas, and exhaustive enumeration only.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -58,3 +61,43 @@ def charpoly_roots(a: np.ndarray) -> np.ndarray:
 def two_pass_variance(values: np.ndarray) -> float:
     mean = sum(float(v) for v in values) / len(values)
     return sum((float(v) - mean) ** 2 for v in values) / len(values)
+
+
+def minmax_quantize_loop(flat, bits: int, group_size: int):
+    """Group-wise min-max quantization one group and one element at a time.
+
+    Returns (codes, scales, zero_points, weights) as flat arrays. The scale
+    spans the group range with a 1e-12 floor, the zero-point is the group
+    min, codes round half away from zero and are clamped to [0, 2^bits - 1].
+    """
+    levels = 2 ** bits - 1
+    codes, scales, zeros, weights = [], [], [], []
+    for start in range(0, len(flat), group_size):
+        group = [float(v) for v in flat[start:start + group_size]]
+        lo, hi = min(group), max(group)
+        scale = max((hi - lo) / levels, 1e-12)
+        scales.append(scale)
+        zeros.append(lo)
+        for x in group:
+            t = (x - lo) / scale
+            code = math.floor(abs(t) + 0.5) * (1 if t >= 0 else -1)
+            code = min(max(code, 0), levels)
+            codes.append(code)
+            weights.append(code * scale + lo)
+    return np.array(codes), np.array(scales), np.array(zeros), np.array(weights)
+
+
+def knapsack_exhaustive(relevance, weight_counts, budget, bit_choices=(4, 8, 16)):
+    """Best plan over all bit_choices^N by plain enumeration.
+
+    Maximizes sum(relevance * bits) subject to sum(count * bits) <= budget;
+    the first optimum in product order wins. None when no plan fits.
+    """
+    best, best_gain = None, -math.inf
+    for combo in itertools.product(bit_choices, repeat=len(relevance)):
+        if sum(c * b for c, b in zip(weight_counts, combo)) > budget:
+            continue
+        gain = sum(r * b for r, b in zip(relevance, combo))
+        if gain > best_gain:
+            best, best_gain = list(combo), gain
+    return best

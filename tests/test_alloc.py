@@ -7,13 +7,14 @@ from taq.alloc import (
     AllocConfig,
     BitPlan,
     CostModel,
-    allocate_knapsack_exact,
     allocate_rank,
     check_monotone,
     uniform_plan,
 )
-from taq.errors import BudgetInfeasible, InvalidConfig, ModelTooSmall, OracleTooLarge
+from taq.errors import BudgetInfeasible, InvalidConfig, ModelTooSmall
 from taq.linalg import SeededRng
+
+from oracles import knapsack_exhaustive
 
 
 def sort_then_slice_oracle(relevance, f16, f8, edge_pin):
@@ -108,23 +109,13 @@ class TestPlanCost:
 
 class TestKnapsackExact:
     def test_unconstrained_all_max_bits(self):
-        plan = allocate_knapsack_exact([1.0, 2.0, 3.0], CostModel((1, 1, 1)),
-                                       budget=math.inf)
-        assert plan.bits == [16, 16, 16]
+        assert knapsack_exhaustive([1.0, 2.0, 3.0], (1, 1, 1), math.inf) == [16, 16, 16]
 
     def test_tight_budget_all_low(self):
-        cost = CostModel((10, 10, 10))
-        plan = allocate_knapsack_exact([1.0, 2.0, 3.0], cost, budget=120)
-        assert plan.bits == [4, 4, 4]
+        assert knapsack_exhaustive([1.0, 2.0, 3.0], (10, 10, 10), 120) == [4, 4, 4]
 
     def test_infeasible(self):
-        with pytest.raises(BudgetInfeasible):
-            allocate_knapsack_exact([1.0], CostModel((10,)), budget=39)
-
-    def test_too_large(self):
-        with pytest.raises(OracleTooLarge):
-            allocate_knapsack_exact(np.zeros(11), CostModel((1,) * 11),
-                                    budget=math.inf)
+        assert knapsack_exhaustive([1.0], (10,), 39) is None
 
     def test_optimum_monotone_and_matches_rank(self):
         # with equal weight counts and a rank-consistent gain, the optimum is
@@ -135,13 +126,12 @@ class TestKnapsackExact:
             r = np.abs(rng.normals(n)) + 0.1
             cost = CostModel((10,) * n)
             budget = 10 * (4 * n + rng.randint(12 * n))
-            plan = allocate_knapsack_exact(r, cost, budget)
+            bits = knapsack_exhaustive(r, cost.weight_counts, budget)
+            plan = BitPlan(bits=bits, pinned=frozenset(), budget=budget, cost=None)
             assert check_monotone(plan, r)
-            n16 = plan.bits.count(16)
-            n8 = plan.bits.count(8)
-            cfg = AllocConfig(f16=n16 / n, f8=n8 / n, edge_pin=0)
+            cfg = AllocConfig(f16=bits.count(16) / n, f8=bits.count(8) / n, edge_pin=0)
             rank_plan = allocate_rank(r, cfg, cost)
-            assert rank_plan.bits == plan.bits
+            assert rank_plan.bits == bits
 
 
 class TestUniformPlan:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import taq.model
 from taq.errors import InvalidConfig, InvalidInput
 from taq.linalg import SeededRng
 from taq.model import (
@@ -206,16 +207,20 @@ class TestTraining:
         np.testing.assert_array_equal(run(), run())
 
 
-class TestEvaluate:
-    class _Scripted:
-        """Stands in for greedy_decode by always answering via a lookup."""
+def scripted_evaluate(monkeypatch, preds, answers) -> EvalResult:
+    """evaluate() with greedy_decode replaced by a fixed list of predictions."""
+    prompts = [[4, 7 + i, SEP] for i in range(len(answers))]
 
+    def decode(model, got_prompts, max_new_tokens):
+        assert got_prompts == prompts
+        return preds
+
+    monkeypatch.setattr(taq.model, "greedy_decode", decode)
+    return evaluate(init_model(SMALL), list(zip(prompts, answers)))
+
+
+class TestEvaluate:
     def test_perfect_predictions(self):
-        # a model that copies is simulated by evaluating answers == decode
-        # output; instead drive evaluate() through a trained-free shortcut:
-        # craft items whose answer is empty-free and patch greedy via model
-        # that deterministically continues with the right tokens is heavy,
-        # so score a hand-built prediction set through the private scorer.
         from taq.model import _token_f1
         assert _token_f1([4, 5], [4, 5]) == (1.0, False)
 
@@ -230,15 +235,22 @@ class TestEvaluate:
         f1, flag = _token_f1([], [])
         assert f1 == 0.0 and flag
 
-    def test_hand_scored_mixed_batch(self):
-        from taq.model import _token_f1
+    def test_hand_scored_mixed_batch(self, monkeypatch):
         preds = [[5, 6], [7], [8, 9, 10], [11], []]
         answers = [[5, 6], [7], [8, 9, 11], [12], [13]]
-        em = 100.0 * sum(p == a for p, a in zip(preds, answers)) / 5
-        f1 = 100.0 * sum(_token_f1(p, a)[0] for p, a in zip(preds, answers)) / 5
-        assert em == pytest.approx(40.0)
+        result = scripted_evaluate(monkeypatch, preds, answers)
+        assert result.exact_match == pytest.approx(40.0)
         # items: 1.0, 1.0, 2/3, 0, 0 -> mean 0.5333...
-        assert f1 == pytest.approx(100 * (1 + 1 + 2 / 3) / 5)
+        assert result.token_f1 == pytest.approx(100 * (2 + 2 / 3) / 5)
+        assert (result.n_items, result.degenerate_pairs) == (5, 0)
+
+    def test_both_empty_item_through_evaluate(self, monkeypatch):
+        # an empty prediction of an empty answer is an exact match, scores
+        # F1 0 by convention, and is counted as a degenerate pair
+        result = scripted_evaluate(monkeypatch, [[5], []], [[5], []])
+        assert result.exact_match == 100.0
+        assert result.token_f1 == pytest.approx(50.0)
+        assert result.degenerate_pairs == 1
 
     def test_em_le_f1_on_model_output(self):
         model = init_model(SMALL)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,91 +5,131 @@ from hypothesis import strategies as st
 
 from taq.errors import CorruptCodes, InvalidInput, InvalidShape
 from taq.linalg import SeededRng, Tensor
-from taq.quant import (
-    QTensor,
-    QuantParams,
-    dequantize_group,
-    fit_minmax,
-    pack_codes,
-    quant_error,
-    quantize_group,
-    quantize_tensor,
-    unpack_codes,
-)
+from taq.quant import QTensor, quant_error, quantize_tensor
+
+from oracles import minmax_quantize_loop
+
+
+def row(values) -> Tensor:
+    return Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1))
 
 
 class TestFitMinmax:
+    """The per-group min-max fit, through quantize_tensor."""
+
     def test_exact_range_fit(self):
-        p = fit_minmax([0.0, 255.0], bits=8)
-        assert p.scale == 1.0
-        assert p.zero_point == 0.0
+        qt = quantize_tensor(row([0.0, 255.0]), bits=8)
+        assert qt.scale.tolist() == [1.0]
+        assert qt.zero_point.tolist() == [0.0]
 
     def test_constant_group(self):
-        p = fit_minmax([3.5, 3.5, 3.5], bits=4)
-        assert p.scale == 1e-12
-        assert p.zero_point == 3.5
-        deq = dequantize_group(quantize_group([3.5, 3.5, 3.5], p), p)
-        np.testing.assert_array_equal(deq, [3.5, 3.5, 3.5])
+        qt = quantize_tensor(row([3.5, 3.5, 3.5]), bits=4)
+        assert qt.scale.tolist() == [1e-12]
+        assert qt.zero_point.tolist() == [3.5]
+        np.testing.assert_array_equal(qt.weights, [[3.5, 3.5, 3.5]])
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            fit_minmax([], bits=8)
+        with pytest.raises(InvalidShape):
+            quantize_tensor(Tensor(np.zeros((0, 3))), bits=8)
+        with pytest.raises(InvalidShape):
+            QTensor(codes=[], scale=[], zero_point=[], bits=8, group_size=4, rows=0, cols=3)
 
     def test_bad_bits_rejected(self):
         with pytest.raises(InvalidInput):
-            fit_minmax([1.0], bits=5)
+            quantize_tensor(row([1.0]), bits=5)
+        with pytest.raises(InvalidInput):
+            QTensor(codes=[0], scale=[1.0], zero_point=[0.0], bits=5, group_size=1,
+                    rows=1, cols=1)
 
     def test_non_finite_range_rejected(self):
         # [-1e308, 1e308]: hi - lo overflows float64 to an infinite scale
         for group in ([-1e308, 1e308], [0.0, np.nan, 1.0], [0.0, np.inf]):
             with pytest.raises(InvalidInput):
-                fit_minmax(group, bits=8)
+                quantize_tensor(row(group), bits=8)
+        # only the second group overflows
+        with pytest.raises(InvalidInput, match="group 1"):
+            quantize_tensor(row([0.0, 1.0, -1e308, 1e308]), bits=8, group_size=2)
 
     def test_round_trip_bound_random_group(self):
         rng = SeededRng(21)
         group = rng.normals(128)
-        p = fit_minmax(group, bits=4)
-        deq = dequantize_group(quantize_group(group, p), p)
+        qt = quantize_tensor(row(group), bits=4, group_size=128)
         # independent per-element check
-        for x, y in zip(group, deq):
-            assert abs(x - y) <= p.scale / 2 + 1e-12
+        for x, y in zip(group, qt.weights[0]):
+            assert abs(x - y) <= qt.scale[0] / 2 + 1e-12
 
 
 class TestQuantizeGroup:
     def test_zero_point_maps_to_zero_code(self):
-        p = QuantParams(scale=0.5, zero_point=1.25, bits=8)
-        assert quantize_group([1.25], p)[0] == 0
+        qt = quantize_tensor(row([1.25, 2.0, 5.0]), bits=8)
+        assert qt.zero_point[0] == 1.25
+        assert qt.codes[0] == 0
 
     def test_lattice_points_exact(self):
-        p = QuantParams(scale=0.25, zero_point=-1.0, bits=4)
         ks = np.arange(0, 16)
-        xs = p.zero_point + p.scale * ks
-        codes = quantize_group(xs, p)
-        np.testing.assert_array_equal(codes, ks)
-        np.testing.assert_allclose(dequantize_group(codes, p), xs, atol=1e-15)
+        xs = -1.0 + 0.25 * ks
+        qt = quantize_tensor(row(xs), bits=4, group_size=16)
+        assert (qt.scale[0], qt.zero_point[0]) == (0.25, -1.0)
+        np.testing.assert_array_equal(qt.codes, ks)
+        np.testing.assert_allclose(qt.weights[0], xs, atol=1e-15)
 
-    def test_saturation(self):
-        p = QuantParams(scale=1.0, zero_point=0.0, bits=4)
-        assert quantize_group([1e9], p)[0] == 15
-        assert quantize_group([-1e9], p)[0] == 0
+    def test_ties_round_away_from_zero(self):
+        # scale 1, zero-point 0: half-to-even would give codes 0, 2, 2
+        qt = quantize_tensor(row([0.0, 0.5, 1.5, 2.5, 15.0]), bits=4)
+        assert qt.codes.tolist() == [0, 1, 2, 3, 15]
 
     def test_corrupt_codes_rejected(self):
-        p = QuantParams(scale=1.0, zero_point=0.0, bits=4)
-        with pytest.raises(CorruptCodes):
-            dequantize_group([16], p)
+        for bad in (16, -1):
+            with pytest.raises(CorruptCodes):
+                QTensor(codes=[0, bad], scale=[1.0], zero_point=[0.0], bits=4,
+                        group_size=2, rows=1, cols=2)
+
+
+class TestQTensor:
+    def test_count_mismatch_rejected(self):
+        ok = dict(codes=[0, 1, 2], scale=[1.0, 1.0], zero_point=[0.0, 0.0], bits=4,
+                  group_size=2, rows=1, cols=3)
+        QTensor(**ok)
+        for key, value in (("codes", [0, 1]), ("scale", [1.0]), ("zero_point", [0.0] * 3),
+                           ("cols", 4)):
+            with pytest.raises(InvalidShape):
+                QTensor(**{**ok, key: value})
+
+    def test_non_positive_scale_rejected(self):
+        for scale in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidInput):
+                QTensor(codes=[0], scale=[scale], zero_point=[0.0], bits=8, group_size=1,
+                        rows=1, cols=1)
+
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    @pytest.mark.parametrize("group_size", [1, 7, 128, 500])
+    def test_matches_loop_oracle(self, bits, group_size):
+        # 9x23 = 207 weights: short last groups at 7 and 128, one group at 500;
+        # the first two rows are constant, so some groups hit the scale floor
+        vals = SeededRng(59).normals(207).reshape(9, 23) * 3.0
+        vals[:2] = 0.75
+        qt = quantize_tensor(Tensor(vals), bits, group_size)
+        codes, scales, zeros, weights = minmax_quantize_loop(vals.reshape(-1), bits, group_size)
+        np.testing.assert_array_equal(qt.codes, codes)
+        np.testing.assert_array_equal(qt.scale, scales)
+        np.testing.assert_array_equal(qt.zero_point, zeros)
+        np.testing.assert_array_equal(qt.weights, weights.reshape(9, 23))
 
 
 class TestQuantizeTensor:
     def test_single_group(self):
         qt = quantize_tensor(Tensor([[1.0, 2.0], [3.0, 4.0]]), bits=8, group_size=4)
-        assert qt.n_groups == 1
+        assert qt.scale.size == qt.zero_point.size == 1
 
     def test_partition_arithmetic(self):
-        w = Tensor(np.linspace(0, 1, 300).reshape(1, 300))
-        qt = quantize_tensor(w, bits=8, group_size=128)
-        assert qt.n_groups == 3
-        sizes = [qt.group_slice(g).stop - qt.group_slice(g).start for g in range(3)]
-        assert sizes == [128, 128, 44]
+        # groups of 128, 128 and 44: each zero-point is its group's first
+        # (smallest) value of the increasing ramp, each scale its own span
+        flat = np.linspace(0, 1, 300)
+        qt = quantize_tensor(row(flat), bits=8, group_size=128)
+        np.testing.assert_array_equal(qt.zero_point, flat[[0, 128, 256]])
+        np.testing.assert_array_equal(
+            qt.scale, [(flat[127] - flat[0]) / 255, (flat[255] - flat[128]) / 255,
+                       (flat[299] - flat[256]) / 255])
 
     def test_16bit_near_lossless(self):
         rng = SeededRng(31)
@@ -100,19 +138,14 @@ class TestQuantizeTensor:
         err = quant_error(w, qt)
         assert err["frobenius_rel"] < 1e-3
 
-    def test_cache_matches_recompute(self):
-        rng = SeededRng(37)
-        w = Tensor(rng.normals(200).reshape(10, 20))
-        qt = quantize_tensor(w, bits=4, group_size=64)
-        np.testing.assert_array_equal(qt.dequant_cache, qt.recompute_cache())
-
     def test_deterministic(self):
         rng = SeededRng(41)
         vals = rng.normals(256).reshape(16, 16)
         a = quantize_tensor(Tensor(vals), bits=4)
         b = quantize_tensor(Tensor(vals.copy()), bits=4)
         np.testing.assert_array_equal(a.codes, b.codes)
-        assert a.params == b.params
+        np.testing.assert_array_equal(a.scale, b.scale)
+        np.testing.assert_array_equal(a.zero_point, b.zero_point)
 
 
 class TestQuantError:
@@ -157,30 +190,10 @@ class TestMonotonePrecision:
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
                 min_size=1, max_size=200),
-       st.sampled_from([4, 8, 16]))
+       st.sampled_from([4, 8, 16]),
+       st.integers(min_value=1, max_value=64))
 @settings(max_examples=200, deadline=None)
-def test_round_trip_bound_property(values, bits):
-    p = fit_minmax(values, bits)
-    deq = dequantize_group(quantize_group(values, p), p)
-    bound = p.scale / 2 + 1e-12
-    assert all(abs(x - y) <= bound for x, y in zip(values, deq))
-
-
-@given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=99))
-@settings(max_examples=100, deadline=None)
-def test_pack_unpack_round_trip_4bit(codes):
-    arr = np.array(codes, dtype=np.int64)
-    assert list(unpack_codes(pack_codes(arr, 4), 4, arr.size)) == codes
-
-
-@pytest.mark.parametrize("bits,hi", [(8, 255), (16, 65535)])
-def test_pack_unpack_round_trip_wide(bits, hi):
-    rng = SeededRng(53)
-    codes = np.array([rng.randint(hi + 1) for _ in range(77)], dtype=np.int64)
-    out = unpack_codes(pack_codes(codes, bits), bits, codes.size)
-    np.testing.assert_array_equal(out, codes)
-
-
-def test_pack_rejects_out_of_range():
-    with pytest.raises(CorruptCodes):
-        pack_codes(np.array([16]), 4)
+def test_round_trip_bound_property(values, bits, group_size):
+    qt = quantize_tensor(row(values), bits, group_size)
+    for i, (x, y) in enumerate(zip(values, qt.weights[0])):
+        assert abs(x - y) <= qt.scale[i // group_size] / 2 + 1e-12

@@ -67,7 +67,7 @@ class TestStreamingMoments:
     def test_symmetric_pair(self):
         m = StreamingMoments()
         m.update([1.0, -1.0])
-        assert (m.s1, m.s2, m.n) == (0.0, 2.0, 2)
+        assert (m.n, m.mean, m.m2) == (2, 0.0, 2.0)
 
     def test_additivity(self):
         a = StreamingMoments()
@@ -75,7 +75,7 @@ class TestStreamingMoments:
         a.update([3.0, 4.0])
         b = StreamingMoments()
         b.update([1.0, 2.0, 3.0, 4.0])
-        assert (a.s1, a.s2, a.n) == (b.s1, b.s2, b.n)
+        assert (a.n, a.mean, a.m2) == (b.n, b.mean, b.m2)
 
     def test_matches_two_pass_variance(self):
         rng = SeededRng(5)
@@ -87,6 +87,23 @@ class TestStreamingMoments:
         want = two_pass_variance(stream)
         assert abs(var - want) <= 1e-9 * want
         assert stab == -var
+
+    def test_large_mean_no_cancellation(self):
+        # s2/n - mean**2 cancels to 0.0 here; the true variance is ~1.007
+        stream = 1e8 + SeededRng(0).normals(10_000)
+        m = StreamingMoments()
+        for chunk in np.array_split(stream, 13):
+            m.update(chunk)
+        var, _ = variance_and_stability(m)
+        want = two_pass_variance(stream)
+        assert abs(var - want) <= 1e-6 * want
+
+    def test_empty_update_skipped(self):
+        m = StreamingMoments()
+        m.update([])
+        m.update([3.0, 5.0])
+        m.update(np.empty(0))
+        assert (m.n, m.mean, m.m2) == (2, 4.0, 2.0)
 
     def test_constant_stream(self):
         m = StreamingMoments()
