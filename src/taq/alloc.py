@@ -71,6 +71,16 @@ class AllocConfig:
             raise InvalidInput("edge_pin must be >= 0")
 
 
+def _relevance(relevance, n_layers: int | None = None) -> np.ndarray:
+    """Relevance as a finite 1-D float array, of length n_layers when given."""
+    r = np.asarray(relevance, dtype=np.float64)
+    if r.ndim != 1 or not np.isfinite(r).all():
+        raise InvalidInput(f"relevance must be a finite 1-D vector, got shape {r.shape}")
+    if n_layers is not None and r.size != n_layers:
+        raise InvalidInput(f"relevance has {r.size} entries, plan has {n_layers} layers")
+    return r
+
+
 def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
                   cost_model: CostModel | None = None) -> BitPlan:
     """Rank non-edge layers by relevance and assign 16/8/4 bits by fraction.
@@ -82,7 +92,7 @@ def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
     """
     if cfg.budget is not None and cost_model is None:
         raise InvalidConfig(f"budget {cfg.budget} needs a cost model to be checked")
-    r = np.asarray(relevance, dtype=np.float64)
+    r = _relevance(relevance)
     n = r.size
     if n < 2 * cfg.edge_pin + 1:
         raise ModelTooSmall(
@@ -125,7 +135,7 @@ def uniform_plan(n_layers: int, bits: int,
 def check_monotone(plan: BitPlan, relevance) -> bool:
     """True when every non-pinned pair with strictly higher relevance has
     at least as many bits."""
-    r = np.asarray(relevance, dtype=np.float64)
+    r = _relevance(relevance, plan.n_layers)
     free = [i for i in range(plan.n_layers) if i not in plan.pinned]
     for i in free:
         for j in free:

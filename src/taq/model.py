@@ -3,8 +3,9 @@
 Pre-norm blocks (LayerNorm, causal multi-head attention, ReLU MLP, residual
 connections), learned positional embeddings, no biases on the linear maps.
 Forward, analytic backward, SGD training with gradient clipping, greedy
-decoding, and EM / token-F1 evaluation all live here. Activation capture
-hooks observe each block's post-residual output without altering results.
+decoding with a per-layer key/value cache, and EM / token-F1 evaluation all
+live here. Activation capture hooks observe each block's post-residual
+output without altering results.
 
 Quantized execution swaps a layer's weight matrices for the dequantized
 weights of their QTensors; everything else is unchanged.
@@ -46,9 +47,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise InvalidConfig(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads != 0:
+            raise InvalidConfig(f"d_model {self.d_model} must be a positive multiple "
+                                f"of a positive n_heads, got n_heads {self.n_heads}")
         if self.n_layers < 5:
             raise InvalidConfig(
                 f"n_layers must be >= 5 for edge pinning, got {self.n_layers}")
@@ -195,11 +196,16 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _block_forward(model: ToyModel, i: int, x: np.ndarray, want_cache: bool):
+def _block_forward(model: ToyModel, i: int, x: np.ndarray, want_cache: bool,
+                   kv=None, pos=None):
+    """One block over x (batch, t, d_model). ``kv`` is the block's (keys,
+    values) cache, (2, batch, n_heads, n_pos, d_head). Without ``pos`` the t
+    positions attend causally and, given ``kv``, fill its slots [0, t). With
+    ``pos`` (batch,) each row's one new position is written at ``pos`` and
+    attends over the cached keys at or before it."""
     cfg = model.config
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     t = x.shape[1]
-    causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
 
     a, xhat1, istd1 = _layer_norm(x, model.weight(f"layer{i}.ln1.g"),
                                   model.weight(f"layer{i}.ln1.b"))
@@ -209,6 +215,17 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, want_cache: bool):
     qh = _split_heads(q, cfg.n_heads)
     kh = _split_heads(k, cfg.n_heads)
     vh = _split_heads(v, cfg.n_heads)
+    if pos is None:
+        qpos = np.arange(t)[:, None]
+        if kv is not None:
+            kv[0][:, :, :t], kv[1][:, :, :t] = kh, vh
+    else:
+        rows = np.arange(len(pos))
+        kv[0][rows, :, pos], kv[1][rows, :, pos] = kh[:, :, 0], vh[:, :, 0]
+        span = pos.max() + 1
+        kh, vh = kv[0][:, :, :span], kv[1][:, :, :span]
+        qpos = pos[:, None, None, None]
+    causal = np.where(np.arange(kh.shape[2]) <= qpos, 0.0, NEG_INF)
     scores = qh @ kh.transpose(0, 1, 3, 2) * scale + causal
     p = _softmax(scores)
     ctx = _merge_heads(p @ vh)
@@ -240,33 +257,33 @@ def embed(model: ToyModel, tokens) -> np.ndarray:
     return model.weight("embed.tok")[arr] + model.weight("embed.pos")[: arr.shape[1]]
 
 
+def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
+            kv=None, pos=None) -> np.ndarray:
+    """Blocks [start, stop) over x; ``kv`` holds every block's cache."""
+    for i in range(start, stop):
+        x, _ = _block_forward(model, i, x, False, None if kv is None else kv[i], pos)
+        if capture is not None:
+            capture(i, x)
+    return x
+
+
 def forward(model: ToyModel, tokens, capture=None) -> np.ndarray:
     """Logits (batch, seq, vocab). ``capture(layer_idx, block_output)`` is
     called with each block's post-residual activations and never affects the
     result."""
-    x = embed(model, tokens)
-    for i in range(model.config.n_layers):
-        x, _ = _block_forward(model, i, x, want_cache=False)
-        if capture is not None:
-            capture(i, x)
-    logits, _ = _final_logits(model, x, want_cache=False)
-    return logits
+    x = _blocks(model, embed(model, tokens), 0, model.config.n_layers, capture)
+    return _final_logits(model, x, want_cache=False)[0]
 
 
 def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
     """Hidden state entering block ``stop_layer``."""
-    x = embed(model, tokens)
-    for i in range(stop_layer):
-        x, _ = _block_forward(model, i, x, want_cache=False)
-    return x
+    return _blocks(model, embed(model, tokens), 0, stop_layer)
 
 
 def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray:
     """Logits from a cached hidden state entering block ``start_layer``."""
-    for i in range(start_layer, model.config.n_layers):
-        x, _ = _block_forward(model, i, x, want_cache=False)
-    logits, _ = _final_logits(model, x, want_cache=False)
-    return logits
+    x = _blocks(model, x, start_layer, model.config.n_layers)
+    return _final_logits(model, x, want_cache=False)[0]
 
 
 def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
@@ -428,36 +445,50 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
                   max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> list[list[int]]:
     """Batched greedy decoding; generation stops at EOS or the length cap.
 
-    Each step forwards only the rows still generating: a row leaves the
-    batch once it emits EOS or reaches max_seq, so a finished row never
-    lengthens the batch past max_seq or costs the others any work.
+    One forward pass over the right-padded prompts (the prefill) fills each
+    block's key/value cache, sized to the last position decoding can reach.
+    Each later step embeds only the newest token of each row, at that row's
+    own position, and attends over the cached keys at or before it, so a
+    padding slot past a row's length is masked until the row overwrites it. A row leaves the batch and the cache once it emits EOS
+    or reaches max_seq.
     """
+    if max_new_tokens < 0:
+        raise InvalidInput(f"max_new_tokens must be >= 0, got {max_new_tokens}")
     if any(len(p) == 0 for p in prompts):
         raise InvalidInput("every prompt needs at least one token")
-    cfg = model.config
-    seqs = [list(p) for p in prompts]
     preds: list[list[int]] = [[] for _ in prompts]
-    active = list(range(len(seqs)))
-    for _ in range(max_new_tokens):
-        if not active:
+    if not prompts or max_new_tokens == 0:
+        return preds
+    cfg = model.config
+    active = np.arange(len(prompts))
+    pos = np.array([len(p) - 1 for p in prompts])  # each row's newest token
+    # (layer, key/value, row, head, position, d_head) up to the last position
+    # decoding can reach; zeroed, so a masked slot is finite and gets exactly
+    # zero weight
+    reach = min(cfg.max_seq, max(map(len, prompts)) + max_new_tokens - 1)
+    kv = np.zeros((cfg.n_layers, 2, len(prompts), cfg.n_heads, reach,
+                   cfg.d_model // cfg.n_heads))
+    x = _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)[active, pos]
+    for step in range(max_new_tokens):
+        logits, _ = _final_logits(model, x, want_cache=False)
+        nxt = logits.argmax(axis=-1)
+        for i, tok in zip(active[nxt != EOS], nxt[nxt != EOS]):
+            preds[i].append(int(tok))
+        keep = (nxt != EOS) & (pos + 2 < cfg.max_seq)
+        if step == max_new_tokens - 1 or not keep.any():
             break
-        logits = forward(model, _pad_batch([seqs[i] for i in active]))
-        still = []
-        for row, i in enumerate(active):
-            nxt = int(np.argmax(logits[row, len(seqs[i]) - 1]))
-            if nxt == EOS:
-                continue
-            preds[i].append(nxt)
-            seqs[i].append(nxt)
-            if len(seqs[i]) < cfg.max_seq:
-                still.append(i)
-        active = still
+        if not keep.all():
+            active, nxt, pos = active[keep], nxt[keep], pos[keep]
+            kv = kv[:, :, keep]
+        pos = pos + 1
+        x = model.weight("embed.tok")[nxt] + model.weight("embed.pos")[pos]
+        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos)[:, 0]
     return preds
 
 
 def _token_f1(pred: list[int], answer: list[int]) -> tuple[float, bool]:
     if not pred and not answer:
-        return 0.0, True
+        return 1.0, True
     overlap = sum((Counter(pred) & Counter(answer)).values())
     if overlap == 0:
         return 0.0, False

@@ -11,6 +11,10 @@ import math
 
 import numpy as np
 
+from taq.errors import InvalidInput
+from taq.model import DEFAULT_MAX_NEW_TOKENS, _pad_batch, forward
+from taq.tasks import EOS
+
 
 def gram_triple_loop(z: np.ndarray) -> np.ndarray:
     r, d = z.shape
@@ -101,3 +105,31 @@ def knapsack_exhaustive(relevance, weight_counts, budget, bit_choices=(4, 8, 16)
         if gain > best_gain:
             best, best_gain = list(combo), gain
     return best
+
+
+def greedy_decode_recompute(model, prompts: list[list[int]],
+                            max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> list[list[int]]:
+    """Greedy decoding that forwards every active row's whole prefix through
+    all blocks for each new token, with no key/value cache. A row leaves the
+    batch once it emits EOS or reaches max_seq."""
+    if any(len(p) == 0 for p in prompts):
+        raise InvalidInput("every prompt needs at least one token")
+    cfg = model.config
+    seqs = [list(p) for p in prompts]
+    preds: list[list[int]] = [[] for _ in prompts]
+    active = list(range(len(seqs)))
+    for _ in range(max_new_tokens):
+        if not active:
+            break
+        logits = forward(model, _pad_batch([seqs[i] for i in active]))
+        still = []
+        for row, i in enumerate(active):
+            nxt = int(np.argmax(logits[row, len(seqs[i]) - 1]))
+            if nxt == EOS:
+                continue
+            preds[i].append(nxt)
+            seqs[i].append(nxt)
+            if len(seqs[i]) < cfg.max_seq:
+                still.append(i)
+        active = still
+    return preds

@@ -11,7 +11,7 @@ from taq.alloc import (
     check_monotone,
     uniform_plan,
 )
-from taq.errors import BudgetInfeasible, InvalidConfig, ModelTooSmall
+from taq.errors import BudgetInfeasible, InvalidConfig, InvalidInput, ModelTooSmall
 from taq.linalg import SeededRng
 
 from oracles import knapsack_exhaustive
@@ -73,6 +73,20 @@ class TestAllocateRank:
     def test_budget_without_cost_model_rejected(self):
         with pytest.raises(InvalidConfig):
             allocate_rank(np.zeros(8), AllocConfig(budget=10))
+
+    @pytest.mark.parametrize("relevance", [
+        [0.0, 0.1, float("nan"), 0.3, 0.4, 0.5, 0.6, 0.7],
+        [0.0, 0.1, 0.2, float("inf"), 0.4, 0.5, 0.6, 0.7],
+        [[0.0, 0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8, 0.9]],
+    ], ids=["nan", "inf", "2-d"])
+    def test_bad_relevance_rejected(self, relevance):
+        with pytest.raises(InvalidInput):
+            allocate_rank(relevance)
+
+    def test_check_monotone_short_relevance_rejected(self):
+        plan = allocate_rank(np.arange(8.0))
+        with pytest.raises(InvalidInput):
+            check_monotone(plan, np.arange(5.0))
 
     def test_monotone_invariant_random(self):
         rng = SeededRng(67)

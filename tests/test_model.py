@@ -7,9 +7,14 @@ import taq.model
 from taq.errors import InvalidConfig, InvalidInput
 from taq.linalg import SeededRng
 from taq.model import (
+    DEFAULT_MAX_NEW_TOKENS,
     EvalResult,
     ModelConfig,
     ToyModel,
+    _blocks,
+    _final_logits,
+    _pad_batch,
+    embed,
     evaluate,
     forward,
     forward_from,
@@ -23,6 +28,8 @@ from taq.model import (
     train_toy,
 )
 from taq.tasks import EOS, SEP, ToyTask, gen_task, full_sequence
+
+from oracles import greedy_decode_recompute
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
 
@@ -46,6 +53,12 @@ class TestConfig:
     def test_min_layers(self):
         with pytest.raises(InvalidConfig):
             ModelConfig(n_layers=4)
+
+    @pytest.mark.parametrize("dims", [{"n_heads": 0}, {"n_heads": -4}, {"d_model": 0}],
+                             ids=["no-heads", "negative-heads", "no-width"])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(InvalidConfig):
+            ModelConfig(**dims)
 
 
 class TestInit:
@@ -233,7 +246,7 @@ class TestEvaluate:
     def test_both_empty_flagged(self):
         from taq.model import _token_f1
         f1, flag = _token_f1([], [])
-        assert f1 == 0.0 and flag
+        assert f1 == 1.0 and flag
 
     def test_hand_scored_mixed_batch(self, monkeypatch):
         preds = [[5, 6], [7], [8, 9, 10], [11], []]
@@ -246,10 +259,10 @@ class TestEvaluate:
 
     def test_both_empty_item_through_evaluate(self, monkeypatch):
         # an empty prediction of an empty answer is an exact match, scores
-        # F1 0 by convention, and is counted as a degenerate pair
+        # F1 1 as in the SQuAD scorer, and is counted as a degenerate pair
         result = scripted_evaluate(monkeypatch, [[5], []], [[5], []])
         assert result.exact_match == 100.0
-        assert result.token_f1 == pytest.approx(50.0)
+        assert result.token_f1 == pytest.approx(100.0)
         assert result.degenerate_pairs == 1
 
     def test_em_le_f1_on_model_output(self):
@@ -257,6 +270,11 @@ class TestEvaluate:
         items = gen_task(ToyTask("copy", 3, vocab=SMALL.vocab, max_payload=4), 12)
         result = evaluate(model, items, max_new_tokens=6)
         assert 0.0 <= result.exact_match <= result.token_f1 <= 100.0
+
+    def test_negative_budget_rejected(self):
+        items = gen_task(ToyTask("copy", 3, vocab=SMALL.vocab, max_payload=4), 2)
+        with pytest.raises(InvalidInput):
+            evaluate(init_model(SMALL), items, max_new_tokens=-1)
 
     def test_deterministic_eval(self):
         model = init_model(SMALL)
@@ -289,6 +307,88 @@ class TestGreedyDecode:
     def test_empty_prompt_rejected(self):
         with pytest.raises(InvalidInput):
             greedy_decode(init_model(SMALL), [[4, SEP], []])
+
+
+def ragged_prompts(cfg, seed, n=12):
+    rng = SeededRng(seed)
+    return [[rng.randint(cfg.vocab) for _ in range(1 + rng.randint(cfg.max_seq))]
+            for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def trained_small():
+    model = init_model(SMALL)
+    items = gen_task(ToyTask("copy", 5, vocab=SMALL.vocab, max_payload=4), 64)
+    train_toy(model, items, steps=150, lr=0.5, seed=3, batch_size=8)
+    return model, items
+
+
+class TestCachedDecode:
+    """greedy_decode against the full-recompute oracle, prediction for prediction."""
+
+    @pytest.mark.parametrize("seed", [41, 43, 47])
+    def test_ragged_batch_on_init_model(self, seed):
+        model = init_model(SMALL)
+        prompts = ragged_prompts(SMALL, seed)
+        assert greedy_decode(model, prompts, 10) == greedy_decode_recompute(model, prompts, 10)
+
+    def test_trained_model(self, trained_small):
+        model, items = trained_small
+        prompts = [p for p, _ in items[:24]] + ragged_prompts(SMALL, 53, n=8)
+        preds = greedy_decode(model, prompts)
+        assert preds == greedy_decode_recompute(model, prompts)
+        # training taught it to stop: some rows end at EOS before the budget
+        assert any(len(p) < DEFAULT_MAX_NEW_TOKENS for p in preds[:24])
+
+    def test_quantized_model(self, trained_small):
+        model, items = trained_small
+        qm = model.with_quantized_layers({0: 4, 1: 8, 2: 4, 3: 16, 4: 4}, 16)
+        prompts = [p for p, _ in items[:16]] + ragged_prompts(SMALL, 59, n=8)
+        assert greedy_decode(qm, prompts) == greedy_decode_recompute(qm, prompts)
+
+    def test_max_seq_prompt_with_short_ones(self):
+        model = init_model(SMALL)
+        full = ragged_prompts(SMALL, 61, n=1)[0][:1] * SMALL.max_seq
+        prompts = [[4, 9, SEP], full, [5, 6, 7, 8, 9, SEP], full[:-1]]
+        preds = greedy_decode(model, prompts, 12)
+        assert preds == greedy_decode_recompute(model, prompts, 12)
+        assert len(preds[1]) <= 1 and len(preds[3]) <= 1
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_tiny_budgets(self, budget):
+        model = init_model(SMALL)
+        prompts = ragged_prompts(SMALL, 67, n=6)
+        preds = greedy_decode(model, prompts, budget)
+        assert preds == greedy_decode_recompute(model, prompts, budget)
+        assert all(len(p) <= budget for p in preds)
+
+    def test_no_prompts(self):
+        assert greedy_decode(init_model(SMALL), []) == []
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InvalidInput):
+            greedy_decode(init_model(SMALL), [[4, SEP]], max_new_tokens=-1)
+
+    def test_cached_step_logits_match_full_forward(self, trained_small):
+        # prefill ragged prompts, then one cached step per row at its own
+        # position; the step's logits must equal forward() over the whole
+        # sequence at that position
+        model, _ = trained_small
+        cfg = model.config
+        prompts = ragged_prompts(SMALL, 71, n=6)
+        prompts = [p[: cfg.max_seq - 1] for p in prompts]
+        nxt = np.array([(7 * i + 3) % cfg.vocab for i in range(len(prompts))])
+        pos = np.array([len(p) for p in prompts])
+        kv = np.zeros((cfg.n_layers, 2, len(prompts), cfg.n_heads, cfg.max_seq,
+                       cfg.d_model // cfg.n_heads))
+        _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)
+        x = model.weight("embed.tok")[nxt] + model.weight("embed.pos")[pos]
+        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos)[:, 0]
+        step, _ = _final_logits(model, x, False)
+        for row, p in enumerate(prompts):
+            full = forward(model, np.array([p + [int(nxt[row])]]))[0, -1]
+            rel = np.abs(step[row] - full).max() / np.abs(full).max()
+            assert rel <= 1e-12, (row, rel)
 
 
 def test_layer_weight_counts():
