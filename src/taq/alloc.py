@@ -28,8 +28,9 @@ class CostModel:
     weight_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.weight_counts):
-            raise InvalidInput("weight counts must be non-negative")
+        if not all(isinstance(c, (int, np.integer)) and c >= 0 for c in self.weight_counts):
+            raise InvalidInput(
+                f"weight counts must be non-negative integers, got {self.weight_counts}")
 
     def cost(self, bits_per_layer) -> int:
         if len(bits_per_layer) != len(self.weight_counts):
@@ -45,16 +46,12 @@ class BitPlan:
 
     bits: list[int]
     pinned: frozenset[int]
-    budget: float | None
     cost: int | None
     source: str = ""
 
     @property
     def n_layers(self) -> int:
         return len(self.bits)
-
-    def quantized_layers(self) -> list[int]:
-        return [i for i, b in enumerate(self.bits) if b != PIN_FULL_BITS]
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,7 @@ def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
         raise BudgetInfeasible(
             f"rank plan costs {cost} weight-bits, budget is {cfg.budget}",
             achieved_cost=cost, budget=cfg.budget)
-    return BitPlan(bits=bits, pinned=pinned, budget=cfg.budget, cost=cost,
-                   source="taq")
+    return BitPlan(bits=bits, pinned=pinned, cost=cost, source="taq")
 
 
 def uniform_plan(n_layers: int, bits: int,
@@ -128,8 +124,7 @@ def uniform_plan(n_layers: int, bits: int,
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
     plan_bits = [bits] * n_layers
     cost = cost_model.cost(plan_bits) if cost_model is not None else None
-    return BitPlan(bits=plan_bits, pinned=frozenset(), budget=None, cost=cost,
-                   source=f"uniform:{bits}")
+    return BitPlan(bits=plan_bits, pinned=frozenset(), cost=cost, source=f"uniform:{bits}")
 
 
 def check_monotone(plan: BitPlan, relevance) -> bool:

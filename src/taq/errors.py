@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module.
 
-Exit-code mapping lives in the CLI: config/data problems exit 2, budget
-infeasibility exits 3, numeric convergence failures exit 4.
+The CLI planned in ROADMAP direction 1 is to map them to exit codes:
+config/data problems exit 2, budget infeasibility exits 3, numeric
+convergence failures exit 4.
 """
 
 from __future__ import annotations

@@ -125,9 +125,6 @@ class SeededRng:
             self._spare = float(interleaved[remaining])
         return out
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def derive(self, tag: int) -> "SeededRng":
         """Independent child stream keyed by ``tag``; does not advance self."""
         if tag < 0:

@@ -50,9 +50,8 @@ class ModelConfig:
         if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise InvalidConfig(f"d_model {self.d_model} must be a positive multiple "
                                 f"of a positive n_heads, got n_heads {self.n_heads}")
-        if self.n_layers < 5:
-            raise InvalidConfig(
-                f"n_layers must be >= 5 for edge pinning, got {self.n_layers}")
+        if self.n_layers < 1:
+            raise InvalidConfig(f"n_layers must be >= 1, got {self.n_layers}")
         if self.vocab < 8 or self.max_seq < 4:
             raise InvalidConfig("vocab must be >= 8 and max_seq >= 4")
 
@@ -95,8 +94,10 @@ def quantizable_names(cfg: ModelConfig, layer: int) -> list[str]:
 
 
 def layer_weight_counts(cfg: ModelConfig) -> tuple[int, ...]:
-    per_layer = 4 * cfg.d_model * cfg.d_model + 2 * cfg.d_model * 4 * cfg.d_model
-    return tuple([per_layer] * cfg.n_layers)
+    """Weights per block that quantization covers: its ``quantizable_names``."""
+    shapes = dict(param_shapes(cfg))
+    return tuple(sum(math.prod(shapes[name]) for name in quantizable_names(cfg, i))
+                 for i in range(cfg.n_layers))
 
 
 class ToyModel:
@@ -118,9 +119,6 @@ class ToyModel:
         if qt is not None:
             return qt.weights
         return self.params[name]
-
-    def clone_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
 
     def with_quantized_layers(self, layer_bits: dict[int, int], group_size: int) -> "ToyModel":
         """New model sharing full-precision params, with the given layers'
@@ -408,6 +406,10 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     """
     if steps < 0:
         raise InvalidInput(f"steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise InvalidInput(f"batch_size must be >= 1, got {batch_size}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise InvalidInput(f"lr must be finite and positive, got {lr}")
     if steps == 0:
         return {"steps": 0, "initial_loss": None, "final_loss": None}
     if not items:
@@ -449,8 +451,8 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     block's key/value cache, sized to the last position decoding can reach.
     Each later step embeds only the newest token of each row, at that row's
     own position, and attends over the cached keys at or before it, so a
-    padding slot past a row's length is masked until the row overwrites it. A row leaves the batch and the cache once it emits EOS
-    or reaches max_seq.
+    padding slot past a row's length is masked until the row overwrites it.
+    A row leaves the batch and the cache once it emits EOS or reaches max_seq.
     """
     if max_new_tokens < 0:
         raise InvalidInput(f"max_new_tokens must be >= 0, got {max_new_tokens}")

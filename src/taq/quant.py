@@ -81,10 +81,6 @@ class QTensor:
         zero = _per_element(self.zero_point, self.group_size, n)
         self.weights = (self.codes.astype(np.float64) * scale + zero).reshape(self.rows, self.cols)
 
-    def dequantized(self) -> np.ndarray:
-        """The dequantized ``rows x cols`` weights (the ``weights`` array)."""
-        return self.weights
-
 
 def quantize_tensor(w: Tensor, bits: int, group_size: int = DEFAULT_GROUP_SIZE) -> QTensor:
     """Quantize a weight matrix with a min-max fit per group, all groups at once.

@@ -1,5 +1,5 @@
 """Per-layer activation statistics: reservoirs, streaming moments, spectral
-entropy, stability, z-scored relevance, and task-direction diagnostics.
+entropy, stability and z-scored relevance.
 
 Entropy is the Shannon entropy of the normalized eigenvalue spectrum of the
 centered activation Gram matrix; stability is the negative element variance.
@@ -25,7 +25,6 @@ DEFAULT_BETA = 0.5
 EIG_KEEP_REL = 1e-12
 
 ZSCORE_STD_FLOOR = 1e-12
-COSINE_NORM_FLOOR = 1e-12
 
 
 class Reservoir:
@@ -192,47 +191,3 @@ def finalize_profile(entropies, entropy_flags, variances, alpha: float,
              "z_stability_degenerate": zs_degenerate}
     return stats, flags
 
-
-@dataclass
-class TaskDirection:
-    """Mean activation offset of task prompts against contrast prompts."""
-
-    layer: int
-    task_id: str
-    vector: np.ndarray
-    contrast_policy: str
-
-
-def task_direction(acts_task: list[np.ndarray], acts_contrast: list[np.ndarray],
-                   layer: int, task_id: str,
-                   contrast_policy: str = "paired-contrast-task-v1") -> TaskDirection:
-    """Average of per-prompt differences, each prompt mean-pooled over tokens."""
-    if len(acts_task) != len(acts_contrast):
-        raise InvalidInput(
-            f"prompt counts differ: {len(acts_task)} vs {len(acts_contrast)}")
-    if not acts_task:
-        raise InvalidInput("need at least one prompt pair")
-    diffs = []
-    for a, b in zip(acts_task, acts_contrast):
-        pa = np.asarray(a, dtype=np.float64).reshape(-1, np.asarray(a).shape[-1]).mean(axis=0)
-        pb = np.asarray(b, dtype=np.float64).reshape(-1, np.asarray(b).shape[-1]).mean(axis=0)
-        if pa.shape != pb.shape:
-            raise InvalidShape(f"activation widths differ: {pa.shape} vs {pb.shape}")
-        diffs.append(pa - pb)
-    return TaskDirection(layer=layer, task_id=task_id,
-                         vector=np.mean(diffs, axis=0),
-                         contrast_policy=contrast_policy)
-
-
-def cosine_alignment(d1: TaskDirection, d2: TaskDirection) -> tuple[float, bool]:
-    """Cosine similarity in [-1, 1]; zero with a degenerate flag when either
-    direction has near-zero norm."""
-    if d1.vector.size != d2.vector.size:
-        raise InvalidShape(
-            f"direction widths differ: {d1.vector.size} vs {d2.vector.size}")
-    n1 = float(np.linalg.norm(d1.vector))
-    n2 = float(np.linalg.norm(d2.vector))
-    if n1 < COSINE_NORM_FLOOR or n2 < COSINE_NORM_FLOOR:
-        return 0.0, True
-    value = float(np.dot(d1.vector, d2.vector) / (n1 * n2))
-    return max(-1.0, min(1.0, value)), False

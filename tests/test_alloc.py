@@ -104,13 +104,12 @@ class TestPlanCost:
 
     def test_pointwise_dominance(self):
         cost = CostModel((10, 20, 30))
-        lo = BitPlan(bits=[4, 8, 4], pinned=frozenset(), budget=None, cost=None)
-        hi = BitPlan(bits=[8, 8, 16], pinned=frozenset(), budget=None, cost=None)
+        lo = BitPlan(bits=[4, 8, 4], pinned=frozenset(), cost=None)
+        hi = BitPlan(bits=[8, 8, 16], pinned=frozenset(), cost=None)
         assert cost.cost(lo.bits) <= cost.cost(hi.bits)
 
     def test_mixed_plan_hand_sum(self):
-        plan = BitPlan(bits=[32, 16, 8, 4], pinned=frozenset({0}), budget=None,
-                       cost=None)
+        plan = BitPlan(bits=[32, 16, 8, 4], pinned=frozenset({0}), cost=None)
         cost = CostModel((3, 5, 7, 11))
         assert cost.cost(plan.bits) == 3 * 32 + 5 * 16 + 7 * 8 + 11 * 4
 
@@ -119,6 +118,12 @@ class TestPlanCost:
         plan = allocate_rank(r)
         cost = CostModel((1,) * 8)
         assert cost.cost(plan.bits) == 4 * 32 + 16 + 2 * 8 + 4
+
+    @pytest.mark.parametrize("count", [float("nan"), float("inf"), 1.5, -1],
+                             ids=["nan", "inf", "fraction", "negative"])
+    def test_bad_weight_count_rejected(self, count):
+        with pytest.raises(InvalidInput):
+            CostModel((100, count, 100))
 
 
 class TestKnapsackExact:
@@ -141,7 +146,7 @@ class TestKnapsackExact:
             cost = CostModel((10,) * n)
             budget = 10 * (4 * n + rng.randint(12 * n))
             bits = knapsack_exhaustive(r, cost.weight_counts, budget)
-            plan = BitPlan(bits=bits, pinned=frozenset(), budget=budget, cost=None)
+            plan = BitPlan(bits=bits, pinned=frozenset(), cost=None)
             assert check_monotone(plan, r)
             cfg = AllocConfig(f16=bits.count(16) / n, f8=bits.count(8) / n, edge_pin=0)
             rank_plan = allocate_rank(r, cfg, cost)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import taq.model
-from taq.errors import InvalidConfig, InvalidInput
+from taq.alloc import AllocConfig, allocate_rank
+from taq.errors import InvalidConfig, InvalidInput, ModelTooSmall
 from taq.linalg import SeededRng
 from taq.model import (
     DEFAULT_MAX_NEW_TOKENS,
@@ -27,6 +28,8 @@ from taq.model import (
     quantizable_names,
     train_toy,
 )
+from taq.stats import (Reservoir, StreamingMoments, finalize_profile, spectral_entropy,
+                       variance_and_stability)
 from taq.tasks import EOS, SEP, ToyTask, gen_task, full_sequence
 
 from oracles import greedy_decode_recompute
@@ -52,7 +55,29 @@ class TestConfig:
 
     def test_min_layers(self):
         with pytest.raises(InvalidConfig):
-            ModelConfig(n_layers=4)
+            ModelConfig(n_layers=0)
+
+    def test_three_layers_run_and_allocate_with_one_pinned_edge(self):
+        # the layer minimum for edge pinning belongs to the allocator
+        cfg = ModelConfig(n_layers=3, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
+        reservoirs = [Reservoir(64, cfg.d_model, SeededRng(i)) for i in range(3)]
+        moments = [StreamingMoments() for _ in range(3)]
+
+        def capture(i, x):
+            for row in x.reshape(-1, cfg.d_model):
+                reservoirs[i].offer(row)
+            moments[i].update(x)
+
+        tokens, _, _ = small_batch(cfg, batch=4)
+        logits = forward(init_model(cfg), tokens, capture=capture)
+        assert logits.shape == (4, 6, cfg.vocab) and np.isfinite(logits).all()
+        entropies, flags = zip(*map(spectral_entropy, reservoirs))
+        variances = [variance_and_stability(m)[0] for m in moments]
+        stats, _ = finalize_profile(entropies, flags, variances, 0.5, 0.5)
+        relevance = [s.relevance for s in stats]
+        with pytest.raises(ModelTooSmall):
+            allocate_rank(relevance)
+        assert allocate_rank(relevance, AllocConfig(edge_pin=1)).bits == [32, 16, 32]
 
     @pytest.mark.parametrize("dims", [{"n_heads": 0}, {"n_heads": -4}, {"d_model": 0}],
                              ids=["no-heads", "negative-heads", "no-width"])
@@ -146,15 +171,7 @@ class TestForward:
 
 class TestGradients:
     def test_finite_difference_agreement(self):
-        # 1-layer toy transformer at d=8 would need n_layers >= 5 through
-        # ModelConfig; build it directly to honor the 1-layer check.
-        cfg = object.__new__(ModelConfig)
-        object.__setattr__(cfg, "n_layers", 1)
-        object.__setattr__(cfg, "d_model", 8)
-        object.__setattr__(cfg, "n_heads", 2)
-        object.__setattr__(cfg, "vocab", 16)
-        object.__setattr__(cfg, "max_seq", 8)
-        object.__setattr__(cfg, "seed", 123)
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)
         rng = SeededRng(5)
         params = {}
         for name, shape in param_shapes(cfg):
@@ -194,7 +211,7 @@ class TestGradients:
 class TestTraining:
     def test_zero_steps_unchanged(self):
         model = init_model(SMALL)
-        before = model.clone_params()
+        before = {k: v.copy() for k, v in model.params.items()}
         train_toy(model, gen_task(ToyTask("copy", 1, vocab=SMALL.vocab), 8), steps=0)
         for name in before:
             np.testing.assert_array_equal(model.params[name], before[name])
@@ -218,6 +235,18 @@ class TestTraining:
             return model.params["layer0.attn.wq"].copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"batch_size": 0}, {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
+    ], ids=["no-batch", "nan-lr", "inf-lr", "zero-lr"])
+    def test_bad_arguments_rejected_before_first_step(self, kwargs):
+        model = init_model(SMALL)
+        before = {k: v.copy() for k, v in model.params.items()}
+        items = gen_task(ToyTask("copy", 1, vocab=SMALL.vocab, max_payload=4), 4)
+        with pytest.raises(InvalidInput):
+            train_toy(model, items, steps=1, **kwargs)
+        for name in before:
+            np.testing.assert_array_equal(model.params[name], before[name])
 
 
 def scripted_evaluate(monkeypatch, preds, answers) -> EvalResult:

@@ -8,12 +8,9 @@ from taq.linalg import SeededRng
 from taq.stats import (
     Reservoir,
     StreamingMoments,
-    TaskDirection,
-    cosine_alignment,
     finalize_profile,
     relevance,
     spectral_entropy,
-    task_direction,
     variance_and_stability,
     zscore,
 )
@@ -241,52 +238,3 @@ class TestRelevance:
         rank2 = np.argsort([-s.relevance for s in stats2])
         np.testing.assert_array_equal(rank1, rank2)
 
-
-class TestTaskDirection:
-    def test_self_contrast_zero(self):
-        acts = [np.ones((4, 3)), np.full((2, 3), 2.0)]
-        d = task_direction(acts, acts, layer=0, task_id="copy")
-        np.testing.assert_array_equal(d.vector, np.zeros(3))
-
-    def test_single_pair_difference(self):
-        a = [np.array([[1.0, 0.0, 0.0]])]
-        b = [np.array([[0.0, 0.0, 0.0]])]
-        d = task_direction(a, b, layer=1, task_id="copy")
-        np.testing.assert_array_equal(d.vector, [1.0, 0.0, 0.0])
-
-    def test_three_pairs_mean(self):
-        diffs = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([-1.0, 1.0])]
-        a = [d.reshape(1, 2) for d in diffs]
-        b = [np.zeros((1, 2)) for _ in diffs]
-        d = task_direction(a, b, layer=0, task_id="t")
-        np.testing.assert_allclose(d.vector, np.mean(diffs, axis=0))
-
-    def test_count_mismatch(self):
-        with pytest.raises(InvalidInput):
-            task_direction([np.zeros((1, 2))], [], layer=0, task_id="t")
-
-
-class TestCosineAlignment:
-    def _dir(self, v):
-        return TaskDirection(layer=0, task_id="t", vector=np.asarray(v, float),
-                             contrast_policy="test")
-
-    def test_self_is_one(self):
-        v, flag = cosine_alignment(self._dir([1.0, 2.0]), self._dir([1.0, 2.0]))
-        assert v == pytest.approx(1.0) and not flag
-
-    def test_negation_is_minus_one(self):
-        v, _ = cosine_alignment(self._dir([1.0, 2.0]), self._dir([-1.0, -2.0]))
-        assert v == pytest.approx(-1.0)
-
-    def test_orthogonal_is_zero(self):
-        v, _ = cosine_alignment(self._dir([1.0, 0.0]), self._dir([0.0, 1.0]))
-        assert abs(v) < 1e-12
-
-    def test_degenerate_norm(self):
-        v, flag = cosine_alignment(self._dir([0.0, 0.0]), self._dir([1.0, 0.0]))
-        assert v == 0.0 and flag
-
-    def test_width_mismatch(self):
-        with pytest.raises(InvalidShape):
-            cosine_alignment(self._dir([1.0]), self._dir([1.0, 2.0]))
