@@ -64,8 +64,10 @@ class AllocConfig:
     def __post_init__(self):
         if not (0.0 <= self.f16 <= 1.0 and 0.0 <= self.f8 <= 1.0):
             raise InvalidInput("rank fractions must lie in [0, 1]")
-        if self.edge_pin < 0:
-            raise InvalidInput("edge_pin must be >= 0")
+        if not (isinstance(self.edge_pin, (int, np.integer)) and self.edge_pin >= 0):
+            raise InvalidInput(f"edge_pin must be an integer >= 0, got {self.edge_pin}")
+        if self.budget is not None and not math.isfinite(self.budget):
+            raise InvalidInput(f"budget must be finite, or None for no budget; got {self.budget}")
 
 
 def _relevance(relevance, n_layers: int | None = None) -> np.ndarray:

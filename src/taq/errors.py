@@ -1,6 +1,6 @@
 """Exception hierarchy shared by every module.
 
-The CLI planned in ROADMAP direction 1 is to map them to exit codes:
+The CLI planned in ROADMAP direction 2 is to map them to exit codes:
 config/data problems exit 2, budget infeasibility exits 3, numeric
 convergence failures exit 4.
 """

@@ -7,8 +7,9 @@ decoding with a per-layer key/value cache, and EM / token-F1 evaluation all
 live here. Activation capture hooks observe each block's post-residual
 output without altering results.
 
-Quantized execution swaps a layer's weight matrices for the dequantized
-weights of their QTensors; everything else is unchanged.
+Every path reads weights from ``model.params`` alone. A quantized model has
+its own parameter dict in which each quantized matrix is its QTensor's
+dequantized weights and every other entry is the parent's array.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ def layer_weight_counts(cfg: ModelConfig) -> tuple[int, ...]:
 
 
 class ToyModel:
-    """Parameters plus optional per-tensor quantization overrides.
+    """Parameters, and the QTensors behind any quantized entries.
 
-    ``params`` maps names to float64 arrays and is never read through when a
-    name has a QTensor override; overrides execute via their dequantized
-    weights.
+    ``params`` maps names to float64 arrays; forward, decode and training read
+    only it. ``qtensors`` records how each quantized entry was made: for each
+    of its names, ``params[name]`` is ``qtensors[name].weights``.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
@@ -114,15 +115,10 @@ class ToyModel:
         self.params = params
         self.qtensors: dict[str, QTensor] = qtensors or {}
 
-    def weight(self, name: str) -> np.ndarray:
-        qt = self.qtensors.get(name)
-        if qt is not None:
-            return qt.weights
-        return self.params[name]
-
     def with_quantized_layers(self, layer_bits: dict[int, int], group_size: int) -> "ToyModel":
-        """New model sharing full-precision params, with the given layers'
-        weight matrices quantized at the given bitwidths (min-max fit)."""
+        """New model with the given layers' weight matrices quantized at the
+        given bitwidths (min-max fit). Its parameter dict is new; entries it
+        does not quantize are the parent's arrays, shared."""
         qtensors = {}
         for layer, bits in layer_bits.items():
             if not (0 <= layer < self.config.n_layers):
@@ -131,7 +127,8 @@ class ToyModel:
             for name in quantizable_names(self.config, layer):
                 qtensors[name] = quantize_tensor(
                     Tensor(self.params[name], label=name), bits, group_size)
-        return ToyModel(self.config, self.params, qtensors)
+        params = {**self.params, **{name: qt.weights for name, qt in qtensors.items()}}
+        return ToyModel(self.config, params, qtensors)
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
@@ -183,7 +180,10 @@ def _merge_heads(x):
 
 
 def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
-    arr = np.asarray(tokens, dtype=np.int64)
+    arr = np.asarray(tokens)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InvalidInput(f"token ids must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 2:
         raise InvalidInput(f"tokens must be 2-D (batch, seq), got ndim={arr.ndim}")
     if arr.shape[1] > cfg.max_seq:
@@ -194,25 +194,23 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _block_forward(model: ToyModel, i: int, x: np.ndarray, want_cache: bool,
-                   kv=None, pos=None):
-    """One block over x (batch, t, d_model). ``kv`` is the block's (keys,
-    values) cache, (2, batch, n_heads, n_pos, d_head). Without ``pos`` the t
-    positions attend causally and, given ``kv``, fill its slots [0, t). With
-    ``pos`` (batch,) each row's one new position is written at ``pos`` and
-    attends over the cached keys at or before it."""
+def _block_forward(model: ToyModel, i: int, x: np.ndarray, kv=None, pos=None):
+    """One block over x (batch, t, d_model): its output and the activations
+    the backward pass reads. ``kv`` is the block's (keys, values) cache,
+    (2, batch, n_heads, n_pos, d_head). Without ``pos`` the t positions
+    attend causally and, given ``kv``, fill its slots [0, t). With ``pos``
+    (batch,) each row's one new position is written at ``pos`` and attends
+    over the cached keys at or before it."""
     cfg = model.config
+    w = model.params
+    pre = f"layer{i}."
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     t = x.shape[1]
 
-    a, xhat1, istd1 = _layer_norm(x, model.weight(f"layer{i}.ln1.g"),
-                                  model.weight(f"layer{i}.ln1.b"))
-    q = a @ model.weight(f"layer{i}.attn.wq")
-    k = a @ model.weight(f"layer{i}.attn.wk")
-    v = a @ model.weight(f"layer{i}.attn.wv")
-    qh = _split_heads(q, cfg.n_heads)
-    kh = _split_heads(k, cfg.n_heads)
-    vh = _split_heads(v, cfg.n_heads)
+    a, xhat1, istd1 = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"])
+    qh = _split_heads(a @ w[pre + "attn.wq"], cfg.n_heads)
+    kh = _split_heads(a @ w[pre + "attn.wk"], cfg.n_heads)
+    vh = _split_heads(a @ w[pre + "attn.wv"], cfg.n_heads)
     if pos is None:
         qpos = np.arange(t)[:, None]
         if kv is not None:
@@ -224,42 +222,34 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, want_cache: bool,
         kh, vh = kv[0][:, :, :span], kv[1][:, :, :span]
         qpos = pos[:, None, None, None]
     causal = np.where(np.arange(kh.shape[2]) <= qpos, 0.0, NEG_INF)
-    scores = qh @ kh.transpose(0, 1, 3, 2) * scale + causal
-    p = _softmax(scores)
+    p = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + causal)
     ctx = _merge_heads(p @ vh)
-    x1 = x + ctx @ model.weight(f"layer{i}.attn.wo")
+    x1 = x + ctx @ w[pre + "attn.wo"]
 
-    m, xhat2, istd2 = _layer_norm(x1, model.weight(f"layer{i}.ln2.g"),
-                                  model.weight(f"layer{i}.ln2.b"))
-    u = m @ model.weight(f"layer{i}.mlp.w1")
+    m, xhat2, istd2 = _layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"])
+    u = m @ w[pre + "mlp.w1"]
     r = np.maximum(u, 0.0)
-    x2 = x1 + r @ model.weight(f"layer{i}.mlp.w2")
-
-    cache = None
-    if want_cache:
-        cache = {"x": x, "a": a, "xhat1": xhat1, "istd1": istd1, "qh": qh,
-                 "kh": kh, "vh": vh, "p": p, "ctx": ctx, "x1": x1, "m": m,
-                 "xhat2": xhat2, "istd2": istd2, "u": u, "r": r}
-    return x2, cache
+    cache = {"a": a, "xhat1": xhat1, "istd1": istd1, "qh": qh, "kh": kh, "vh": vh,
+             "p": p, "ctx": ctx, "m": m, "xhat2": xhat2, "istd2": istd2, "u": u, "r": r}
+    return x1 + r @ w[pre + "mlp.w2"], cache
 
 
-def _final_logits(model: ToyModel, x: np.ndarray, want_cache: bool):
-    y, xhatf, istdf = _layer_norm(x, model.weight("ln_f.g"), model.weight("ln_f.b"))
-    logits = y @ model.weight("unembed.w")
-    cache = {"x": x, "y": y, "xhatf": xhatf, "istdf": istdf} if want_cache else None
-    return logits, cache
+def _final_logits(model: ToyModel, x: np.ndarray):
+    y, xhatf, istdf = _layer_norm(x, model.params["ln_f.g"], model.params["ln_f.b"])
+    return y @ model.params["unembed.w"], {"y": y, "xhatf": xhatf, "istdf": istdf}
 
 
 def embed(model: ToyModel, tokens) -> np.ndarray:
     arr = _validate_tokens(model.config, tokens)
-    return model.weight("embed.tok")[arr] + model.weight("embed.pos")[: arr.shape[1]]
+    return model.params["embed.tok"][arr] + model.params["embed.pos"][: arr.shape[1]]
 
 
 def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
             kv=None, pos=None) -> np.ndarray:
     """Blocks [start, stop) over x; ``kv`` holds every block's cache."""
     for i in range(start, stop):
-        x, _ = _block_forward(model, i, x, False, None if kv is None else kv[i], pos)
+        # [0]: binding the cache to a name would keep it alive through the next block
+        x = _block_forward(model, i, x, None if kv is None else kv[i], pos)[0]
         if capture is not None:
             capture(i, x)
     return x
@@ -270,7 +260,7 @@ def forward(model: ToyModel, tokens, capture=None) -> np.ndarray:
     called with each block's post-residual activations and never affects the
     result."""
     x = _blocks(model, embed(model, tokens), 0, model.config.n_layers, capture)
-    return _final_logits(model, x, want_cache=False)[0]
+    return _final_logits(model, x)[0]
 
 
 def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
@@ -281,11 +271,12 @@ def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
 def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray:
     """Logits from a cached hidden state entering block ``start_layer``."""
     x = _blocks(model, x, start_layer, model.config.n_layers)
-    return _final_logits(model, x, want_cache=False)[0]
+    return _final_logits(model, x)[0]
 
 
 def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
-    """Masked mean cross-entropy and analytic gradients for every parameter."""
+    """Masked mean cross-entropy and analytic gradients for every parameter,
+    in ``model.params`` order."""
     cfg = model.config
     arr = _validate_tokens(cfg, tokens)
     targets = np.asarray(targets, dtype=np.int64)
@@ -297,9 +288,9 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     x = embed(model, arr)
     caches = []
     for i in range(cfg.n_layers):
-        x, cache = _block_forward(model, i, x, want_cache=True)
+        x, cache = _block_forward(model, i, x)
         caches.append(cache)
-    logits, fcache = _final_logits(model, x, want_cache=True)
+    logits, fcache = _final_logits(model, x)
 
     b, t, vocab = logits.shape
     zmax = logits.max(axis=-1, keepdims=True)
@@ -315,62 +306,47 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
               (np.arange(b * t), targets.reshape(-1)), -1.0)
     dlogits *= (mask / total)[..., None]
 
-    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    w = model.params
+    grads = dict.fromkeys(w)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
-    y2 = fcache["y"].reshape(-1, cfg.d_model)
-    grads["unembed.w"] += y2.T @ dlogits.reshape(-1, vocab)
-    dy = dlogits @ model.weight("unembed.w").T
-    dx, dgf, dbf = _layer_norm_backward(dy, fcache["xhatf"], fcache["istdf"],
-                                        model.weight("ln_f.g"))
-    grads["ln_f.g"] += dgf
-    grads["ln_f.b"] += dbf
+    def linear(name, inp, dout):
+        """Gradient of out = inp @ w[name]: sets grads[name], returns d(inp)."""
+        grads[name] = inp.reshape(-1, inp.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
+        return dout @ w[name].T
+
+    def norm(prefix, dout, xhat, istd):
+        """LayerNorm backward: sets the gain and bias gradients, returns d(x)."""
+        dx, grads[prefix + ".g"], grads[prefix + ".b"] = _layer_norm_backward(
+            dout, xhat, istd, w[prefix + ".g"])
+        return dx
+
+    dy = linear("unembed.w", fcache["y"], dlogits)
+    dx = norm("ln_f", dy, fcache["xhatf"], fcache["istdf"])
 
     for i in reversed(range(cfg.n_layers)):
         c = caches[i]
+        pre = f"layer{i}."
         # MLP path
-        df = dx
-        dr = df @ model.weight(f"layer{i}.mlp.w2").T
-        grads[f"layer{i}.mlp.w2"] += c["r"].reshape(-1, 4 * cfg.d_model).T @ \
-            df.reshape(-1, cfg.d_model)
-        du = dr * (c["u"] > 0.0)
-        grads[f"layer{i}.mlp.w1"] += c["m"].reshape(-1, cfg.d_model).T @ \
-            du.reshape(-1, 4 * cfg.d_model)
-        dm = du @ model.weight(f"layer{i}.mlp.w1").T
-        dx1, dg2, db2 = _layer_norm_backward(dm, c["xhat2"], c["istd2"],
-                                             model.weight(f"layer{i}.ln2.g"))
-        grads[f"layer{i}.ln2.g"] += dg2
-        grads[f"layer{i}.ln2.b"] += db2
-        dx1 = dx1 + dx  # residual
+        du = linear(pre + "mlp.w2", c["r"], dx) * (c["u"] > 0.0)
+        dm = linear(pre + "mlp.w1", c["m"], du)
+        dx1 = norm(pre + "ln2", dm, c["xhat2"], c["istd2"]) + dx  # residual
 
         # attention path
-        do = dx1
-        dctx = do @ model.weight(f"layer{i}.attn.wo").T
-        grads[f"layer{i}.attn.wo"] += c["ctx"].reshape(-1, cfg.d_model).T @ \
-            do.reshape(-1, cfg.d_model)
-        dctx_h = _split_heads(dctx, cfg.n_heads)
+        dctx_h = _split_heads(linear(pre + "attn.wo", c["ctx"], dx1), cfg.n_heads)
         dp = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
         dvh = c["p"].transpose(0, 1, 3, 2) @ dctx_h
         dscores = c["p"] * (dp - (dp * c["p"]).sum(axis=-1, keepdims=True))
         dqh = dscores @ c["kh"] * scale
         dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
-        a2 = c["a"].reshape(-1, cfg.d_model)
-        grads[f"layer{i}.attn.wq"] += a2.T @ dq.reshape(-1, cfg.d_model)
-        grads[f"layer{i}.attn.wk"] += a2.T @ dk.reshape(-1, cfg.d_model)
-        grads[f"layer{i}.attn.wv"] += a2.T @ dv.reshape(-1, cfg.d_model)
-        da = dq @ model.weight(f"layer{i}.attn.wq").T + \
-            dk @ model.weight(f"layer{i}.attn.wk").T + \
-            dv @ model.weight(f"layer{i}.attn.wv").T
-        dxa, dg1, db1 = _layer_norm_backward(da, c["xhat1"], c["istd1"],
-                                             model.weight(f"layer{i}.ln1.g"))
-        grads[f"layer{i}.ln1.g"] += dg1
-        grads[f"layer{i}.ln1.b"] += db1
-        dx = dxa + dx1  # residual
+        da = linear(pre + "attn.wq", c["a"], _merge_heads(dqh)) + \
+            linear(pre + "attn.wk", c["a"], _merge_heads(dkh)) + \
+            linear(pre + "attn.wv", c["a"], _merge_heads(dvh))
+        dx = norm(pre + "ln1", da, c["xhat1"], c["istd1"]) + dx1  # residual
 
+    grads["embed.tok"] = np.zeros_like(w["embed.tok"])
     np.add.at(grads["embed.tok"], arr.reshape(-1), dx.reshape(-1, cfg.d_model))
+    grads["embed.pos"] = np.zeros_like(w["embed.pos"])
     grads["embed.pos"][: arr.shape[1]] += dx.sum(axis=0)
     return loss, grads
 
@@ -404,6 +380,9 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
 
     Returns a summary with the initial and final running losses.
     """
+    if model.qtensors:
+        raise InvalidInput("train the full-precision model, then quantize it; this one "
+                           f"has {len(model.qtensors)} quantized weight matrices")
     if steps < 0:
         raise InvalidInput(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
@@ -472,7 +451,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
                    cfg.d_model // cfg.n_heads))
     x = _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)[active, pos]
     for step in range(max_new_tokens):
-        logits, _ = _final_logits(model, x, want_cache=False)
+        logits = _final_logits(model, x)[0]
         nxt = logits.argmax(axis=-1)
         for i, tok in zip(active[nxt != EOS], nxt[nxt != EOS]):
             preds[i].append(int(tok))
@@ -483,7 +462,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
             active, nxt, pos = active[keep], nxt[keep], pos[keep]
             kv = kv[:, :, keep]
         pos = pos + 1
-        x = model.weight("embed.tok")[nxt] + model.weight("embed.pos")[pos]
+        x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
         x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos)[:, 0]
     return preds
 

@@ -9,6 +9,7 @@ drives bit allocation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,11 @@ class StreamingMoments:
         nb = arr.size
         if nb == 0:
             return
-        mean_b = float(arr.mean())
-        m2_b = float(np.square(arr - mean_b).sum())
+        with np.errstate(invalid="ignore", over="ignore"):  # refused below
+            mean_b = float(arr.mean())
+            m2_b = float(np.square(arr - mean_b).sum())
+        if not (math.isfinite(mean_b) and math.isfinite(m2_b)):
+            raise InvalidInput(f"batch of {nb} values is not all finite")
         n = self.n + nb
         delta = mean_b - self.mean
         self.mean += delta * nb / n
@@ -129,8 +133,8 @@ def zscore(values) -> tuple[np.ndarray, bool]:
     the degenerate flag set.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInput("zscore expects a non-empty 1-D vector")
+    if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
+        raise InvalidInput("zscore expects a non-empty finite 1-D vector")
     mean = float(arr.mean())
     std = float(np.sqrt(((arr - mean) ** 2).mean()))
     if std < ZSCORE_STD_FLOOR:
@@ -141,8 +145,8 @@ def zscore(values) -> tuple[np.ndarray, bool]:
 def relevance(z_entropy, z_stability, alpha: float = DEFAULT_ALPHA,
               beta: float = DEFAULT_BETA) -> np.ndarray:
     """Convex combination alpha * z_entropy + beta * z_stability."""
-    if alpha < 0.0 or beta < 0.0:
-        raise InvalidConfig(f"weights must be non-negative, got ({alpha}, {beta})")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+        raise InvalidConfig(f"weights must be finite and non-negative, got ({alpha}, {beta})")
     if abs(alpha + beta - 1.0) > 1e-9:
         raise InvalidConfig(f"weights must sum to 1, got {alpha} + {beta}")
     zh = np.asarray(z_entropy, dtype=np.float64)
@@ -174,8 +178,8 @@ def finalize_profile(entropies, entropy_flags, variances, alpha: float,
     """
     h = np.asarray(entropies, dtype=np.float64)
     v = np.asarray(variances, dtype=np.float64)
-    if h.shape != v.shape:
-        raise InvalidShape("entropy and variance vectors must have equal length")
+    if not h.shape == v.shape == np.shape(entropy_flags):
+        raise InvalidShape("entropy, flag and variance vectors must have equal length")
     s = -v
     zh, zh_degenerate = zscore(h)
     zs, zs_degenerate = zscore(s)

@@ -70,6 +70,16 @@ class TestAllocateRank:
             allocate_rank(r, cfg, cost)
         assert exc.value.achieved_cost > 100
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_budget_rejected(self, budget):
+        # None is the only way to say "no budget"
+        with pytest.raises(InvalidInput):
+            AllocConfig(budget=budget)
+
+    def test_fractional_edge_pin_rejected(self):
+        with pytest.raises(InvalidInput):
+            AllocConfig(edge_pin=1.5)
+
     def test_budget_without_cost_model_rejected(self):
         with pytest.raises(InvalidConfig):
             allocate_rank(np.zeros(8), AllocConfig(budget=10))

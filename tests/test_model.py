@@ -155,6 +155,19 @@ class TestForward:
         with pytest.raises(InvalidInput):
             forward(model, np.full((1, 4), 32, dtype=np.int64))
 
+    @pytest.mark.parametrize("tokens", [[[1.5, 2.0]], [[1.0, 2.0]], [[True, False]]],
+                             ids=["fraction", "integral-float", "bool"])
+    def test_non_integer_tokens_rejected(self, tokens):
+        # a float id used to be truncated to an integer one
+        model = init_model(SMALL)
+        with pytest.raises(InvalidInput):
+            forward(model, tokens)
+        with pytest.raises(InvalidInput):
+            loss_and_grads(model, tokens, [[2, 3]], [[1.0, 1.0]])
+
+    def test_empty_tokens_allowed(self):
+        assert embed(init_model(SMALL), [[]]).shape == (1, 0, SMALL.d_model)
+
     def test_quantized_deviation_monotone(self):
         cfg = ModelConfig(n_layers=5, d_model=32, n_heads=4, vocab=32, max_seq=16,
                           seed=9)
@@ -169,7 +182,49 @@ class TestForward:
         assert devs[16] < 1e-3
 
 
+class TestQuantizedModel:
+    def test_own_param_dict_holding_the_dequantized_weights(self):
+        m = init_model(SMALL)
+        qm = m.with_quantized_layers({1: 4, 3: 8}, 64)
+        assert qm.params is not m.params
+        assert list(qm.params) == list(m.params)
+        quantized = set(quantizable_names(SMALL, 1) + quantizable_names(SMALL, 3))
+        assert set(qm.qtensors) == quantized
+        for name in m.params:
+            if name in quantized:
+                assert qm.params[name] is qm.qtensors[name].weights
+            else:
+                assert qm.params[name] is m.params[name]
+        before = dict(m.params)
+        for name in ("embed.tok", "layer1.attn.wq"):
+            qm.params[name] = np.zeros_like(m.params[name])
+        assert all(m.params[name] is before[name] for name in before)
+
+    def test_training_refused_and_parent_untouched(self):
+        # post-training quantization: train the full-precision model, then quantize
+        m = init_model(SMALL)
+        before = {k: v.copy() for k, v in m.params.items()}
+        qm = m.with_quantized_layers({2: 4}, 128)
+        items = gen_task(ToyTask("copy", 1, vocab=SMALL.vocab, max_payload=4), 8)
+        with pytest.raises(InvalidInput):
+            train_toy(qm, items, steps=2, batch_size=4)
+        for name in before:
+            np.testing.assert_array_equal(m.params[name], before[name])
+
+
 class TestGradients:
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(), ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8),
+    ], ids=["default", "one-layer"])
+    def test_every_parameter_gets_a_finite_gradient(self, cfg):
+        model = init_model(cfg)
+        tokens, targets, mask = small_batch(cfg)
+        _, grads = loss_and_grads(model, tokens, targets, mask)
+        assert list(grads) == list(model.params)
+        for name, p in model.params.items():
+            assert grads[name].shape == p.shape, name
+            assert np.isfinite(grads[name]).all(), name
+
     def test_finite_difference_agreement(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)
         rng = SeededRng(5)
@@ -411,9 +466,9 @@ class TestCachedDecode:
         kv = np.zeros((cfg.n_layers, 2, len(prompts), cfg.n_heads, cfg.max_seq,
                        cfg.d_model // cfg.n_heads))
         _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)
-        x = model.weight("embed.tok")[nxt] + model.weight("embed.pos")[pos]
+        x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
         x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos)[:, 0]
-        step, _ = _final_logits(model, x, False)
+        step = _final_logits(model, x)[0]
         for row, p in enumerate(prompts):
             full = forward(model, np.array([p + [int(nxt[row])]]))[0, -1]
             rel = np.abs(step[row] - full).max() / np.abs(full).max()

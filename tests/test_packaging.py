@@ -14,7 +14,7 @@ PYPROJECT = ROOT / "pyproject.toml"
 UNREACHED_ALLOWED = {
     "forward_prefix": "direction 4: per-layer sensitivity from a cached prefix",
     "forward_from": "direction 4: per-layer sensitivity from a cached prefix",
-    "IoError": "direction 1: the .npz checkpoint",
+    "IoError": "direction 2: the .npz checkpoint",
 }
 
 

@@ -118,6 +118,15 @@ class TestStreamingMoments:
         with pytest.raises(InsufficientData):
             variance_and_stability(StreamingMoments())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_batch_rejected(self, bad):
+        m = StreamingMoments()
+        m.update([3.0, 5.0])
+        with pytest.raises(InvalidInput):
+            m.update([1.0, bad])
+        assert (m.n, m.mean, m.m2) == (2, 4.0, 2.0)
+
 
 class TestSpectralEntropy:
     def _fill(self, rows):
@@ -205,6 +214,11 @@ class TestZscore:
         assert abs(out.mean()) <= 1e-9
         assert abs(np.sqrt((out ** 2).mean()) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInput):
+            zscore([1.0, bad])
+
 
 class TestRelevance:
     def test_cancellation(self):
@@ -228,6 +242,12 @@ class TestRelevance:
         with pytest.raises(InvalidConfig):
             relevance([0.0], [0.0], -0.1, 1.1)
 
+    @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.5), (0.5, float("nan"))],
+                             ids=["nan-alpha", "nan-beta"])
+    def test_non_finite_weight_rejected(self, alpha, beta):
+        with pytest.raises(InvalidConfig):
+            relevance([0.0, 1.0], [1.0, 0.0], alpha, beta)
+
     def test_shift_invariant_ranking(self):
         rng = SeededRng(17)
         h = rng.normals(8)
@@ -238,3 +258,10 @@ class TestRelevance:
         rank2 = np.argsort([-s.relevance for s in stats2])
         np.testing.assert_array_equal(rank1, rank2)
 
+
+
+class TestFinalizeProfile:
+    @pytest.mark.parametrize("n_flags", [2, 4])
+    def test_flag_count_mismatch_rejected(self, n_flags):
+        with pytest.raises(InvalidShape):
+            finalize_profile([0.1, 0.2, 0.3], [False] * n_flags, [1.0, 2.0, 3.0], 0.5, 0.5)
