@@ -28,13 +28,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps silently, unlike numpy scalars.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
 @dataclass
 class Tensor:
     """Dense 2-D float64 matrix with an optional role label.
@@ -89,6 +82,23 @@ class SeededRng:
             raise InvalidInput(f"randint bound must be positive, got {n}")
         return self.next_u64() % n
 
+    def randints(self, bounds) -> np.ndarray:
+        """One uniform integer in [0, b) per bound b: the values, and the
+        stream position after them, of one ``randint`` call per bound."""
+        b = np.asarray(bounds)
+        if b.ndim != 1 or (b.size and (b.dtype.kind not in "iu" or b.min() <= 0)):
+            raise InvalidInput("randints bounds must be a 1-D vector of positive integers")
+        return (self._next_u64s(b.size) % b.astype(np.uint64)).astype(np.int64)
+
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next n ``next_u64`` values, as one array. uint64 array
+        arithmetic wraps silently, unlike numpy scalars."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via Box-Muller, vectorized.
 
@@ -108,10 +118,7 @@ class SeededRng:
         if remaining <= 0:
             return out
         pairs = (remaining + 1) // 2
-        idx = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        self._state = (self._state + 2 * pairs * _GAMMA) & _MASK
-        z = _mix64_vec(states)
+        z = self._next_u64s(2 * pairs)
         # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
         u1 = ((z[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
         u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -27,7 +27,6 @@ from .tasks import EOS, PAD, full_sequence
 
 PARAM_INIT_STD = 0.02
 LN_EPS = 1e-5
-NEG_INF = -1e30
 DEFAULT_TRAIN_STEPS = 3000
 DEFAULT_LR = 0.5
 DEFAULT_BATCH = 16
@@ -146,12 +145,12 @@ def init_model(cfg: ModelConfig) -> ToyModel:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * istd
-    return xhat * g + b, xhat, istd
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    istd = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= istd
+    y = xhat * g
+    y += b
+    return y, xhat, istd
 
 
 def _layer_norm_backward(dout, xhat, istd, g):
@@ -163,10 +162,18 @@ def _layer_norm_backward(dout, xhat, istd, g):
     return dx, dg, db
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _linear(x, w):
+    """x @ w over the last axis as one 2-D GEMM on the flattened leading axes.
+    numpy runs a 3-D ``@`` as one small GEMM per batch row."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
+def _attention_mask(t: int, pos) -> np.ndarray:
+    """Where each query may attend each key in ``_block_forward(..., pos)``
+    over t positions; built once per pass or decode step, not per block."""
+    if pos is None:
+        return np.arange(t) <= np.arange(t)[:, None]
+    return np.arange(pos.max() + 1) <= pos[:, None, None, None]
 
 
 def _split_heads(x, n_heads):
@@ -180,7 +187,10 @@ def _merge_heads(x):
 
 
 def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
-    arr = np.asarray(tokens)
+    try:
+        arr = np.asarray(tokens)
+    except ValueError as err:  # numpy's refusal of ragged nesting
+        raise InvalidInput(f"tokens must form a rectangular array: {err}") from None
     if arr.size and arr.dtype.kind not in "iu":
         raise InvalidInput(f"token ids must be integers, got dtype {arr.dtype}")
     arr = arr.astype(np.int64, copy=False)
@@ -194,13 +204,13 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _block_forward(model: ToyModel, i: int, x: np.ndarray, kv=None, pos=None):
+def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=None):
     """One block over x (batch, t, d_model): its output and the activations
     the backward pass reads. ``kv`` is the block's (keys, values) cache,
     (2, batch, n_heads, n_pos, d_head). Without ``pos`` the t positions
     attend causally and, given ``kv``, fill its slots [0, t). With ``pos``
     (batch,) each row's one new position is written at ``pos`` and attends
-    over the cached keys at or before it."""
+    over the cached keys at or before it, as ``keep`` marks."""
     cfg = model.config
     w = model.params
     pre = f"layer{i}."
@@ -208,11 +218,10 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, kv=None, pos=None):
     t = x.shape[1]
 
     a, xhat1, istd1 = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"])
-    qh = _split_heads(a @ w[pre + "attn.wq"], cfg.n_heads)
-    kh = _split_heads(a @ w[pre + "attn.wk"], cfg.n_heads)
-    vh = _split_heads(a @ w[pre + "attn.wv"], cfg.n_heads)
+    qh = _split_heads(_linear(a, w[pre + "attn.wq"]), cfg.n_heads)
+    kh = _split_heads(_linear(a, w[pre + "attn.wk"]), cfg.n_heads)
+    vh = _split_heads(_linear(a, w[pre + "attn.wv"]), cfg.n_heads)
     if pos is None:
-        qpos = np.arange(t)[:, None]
         if kv is not None:
             kv[0][:, :, :t], kv[1][:, :, :t] = kh, vh
     else:
@@ -220,23 +229,32 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, kv=None, pos=None):
         kv[0][rows, :, pos], kv[1][rows, :, pos] = kh[:, :, 0], vh[:, :, 0]
         span = pos.max() + 1
         kh, vh = kv[0][:, :, :span], kv[1][:, :, :span]
-        qpos = pos[:, None, None, None]
-    causal = np.where(np.arange(kh.shape[2]) <= qpos, 0.0, NEG_INF)
-    p = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + causal)
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    # Softmax in place, with weight 0 on masked keys. Masked entries never reach
+    # exp as large negatives: numpy's exp runs several times slower on inputs
+    # that underflow, and about half of every causal score matrix is masked.
+    p -= p.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    p *= keep
+    np.exp(p, out=p)
+    p *= keep
+    p /= p.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(p @ vh)
-    x1 = x + ctx @ w[pre + "attn.wo"]
+    x1 = _linear(ctx, w[pre + "attn.wo"])
+    x1 += x
 
     m, xhat2, istd2 = _layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"])
-    u = m @ w[pre + "mlp.w1"]
-    r = np.maximum(u, 0.0)
+    r = _linear(m, w[pre + "mlp.w1"])
+    np.maximum(r, 0.0, out=r)
     cache = {"a": a, "xhat1": xhat1, "istd1": istd1, "qh": qh, "kh": kh, "vh": vh,
-             "p": p, "ctx": ctx, "m": m, "xhat2": xhat2, "istd2": istd2, "u": u, "r": r}
-    return x1 + r @ w[pre + "mlp.w2"], cache
+             "p": p, "ctx": ctx, "m": m, "xhat2": xhat2, "istd2": istd2, "r": r}
+    x1 += _linear(r, w[pre + "mlp.w2"])
+    return x1, cache
 
 
 def _final_logits(model: ToyModel, x: np.ndarray):
     y, xhatf, istdf = _layer_norm(x, model.params["ln_f.g"], model.params["ln_f.b"])
-    return y @ model.params["unembed.w"], {"y": y, "xhatf": xhatf, "istdf": istdf}
+    return _linear(y, model.params["unembed.w"]), {"y": y, "xhatf": xhatf, "istdf": istdf}
 
 
 def embed(model: ToyModel, tokens) -> np.ndarray:
@@ -247,9 +265,10 @@ def embed(model: ToyModel, tokens) -> np.ndarray:
 def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
             kv=None, pos=None) -> np.ndarray:
     """Blocks [start, stop) over x; ``kv`` holds every block's cache."""
+    keep = _attention_mask(x.shape[1], pos)
     for i in range(start, stop):
         # [0]: binding the cache to a name would keep it alive through the next block
-        x = _block_forward(model, i, x, None if kv is None else kv[i], pos)[0]
+        x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos)[0]
         if capture is not None:
             capture(i, x)
     return x
@@ -279,16 +298,20 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     in ``model.params`` order."""
     cfg = model.config
     arr = _validate_tokens(cfg, tokens)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _validate_tokens(cfg, targets)
     mask = np.asarray(loss_mask, dtype=np.float64)
-    total = mask.sum()
-    if total <= 0:
-        raise InvalidInput("loss mask selects no positions")
+    if targets.shape != arr.shape or mask.shape != arr.shape:
+        raise InvalidInput(f"targets {targets.shape} and loss mask {mask.shape} must have "
+                           f"the tokens' shape {arr.shape}")
+    total = mask.sum()  # not finite when any entry is not
+    if not (math.isfinite(total) and total > 0):
+        raise InvalidInput(f"loss mask must be finite and select positions; it sums to {total}")
 
     x = embed(model, arr)
+    keep = _attention_mask(arr.shape[1], None)
     caches = []
     for i in range(cfg.n_layers):
-        x, cache = _block_forward(model, i, x)
+        x, cache = _block_forward(model, i, x, keep)
         caches.append(cache)
     logits, fcache = _final_logits(model, x)
 
@@ -313,7 +336,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     def linear(name, inp, dout):
         """Gradient of out = inp @ w[name]: sets grads[name], returns d(inp)."""
         grads[name] = inp.reshape(-1, inp.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
-        return dout @ w[name].T
+        return _linear(dout, w[name].T)
 
     def norm(prefix, dout, xhat, istd):
         """LayerNorm backward: sets the gain and bias gradients, returns d(x)."""
@@ -328,7 +351,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
         c = caches[i]
         pre = f"layer{i}."
         # MLP path
-        du = linear(pre + "mlp.w2", c["r"], dx) * (c["u"] > 0.0)
+        du = linear(pre + "mlp.w2", c["r"], dx) * (c["r"] > 0.0)
         dm = linear(pre + "mlp.w1", c["m"], du)
         dx1 = norm(pre + "ln2", dm, c["xhat2"], c["istd2"]) + dx  # residual
 
@@ -351,18 +374,17 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     return loss, grads
 
 
-def _pad_batch(sequences: list[list[int]]) -> np.ndarray:
+def _pad_batch(sequences: list[list[int]]) -> list[list[int]]:
+    """Right-padded copies; left as lists, so ``_validate_tokens`` sees the ids
+    as given and refuses non-integers rather than truncating them."""
     t = max(len(s) for s in sequences)
-    out = np.full((len(sequences), t), PAD, dtype=np.int64)
-    for i, s in enumerate(sequences):
-        out[i, : len(s)] = s
-    return out
+    return [list(s) + [PAD] * (t - len(s)) for s in sequences]
 
 
 def _training_batch(items, indices):
     """Padded tokens, shifted targets, and the answer-position loss mask."""
     seqs = [full_sequence(*items[j]) for j in indices]
-    tokens = _pad_batch(seqs)
+    tokens = np.asarray(_pad_batch(seqs))
     targets = np.roll(tokens, -1, axis=1)
     targets[:, -1] = PAD
     mask = np.zeros(tokens.shape, dtype=np.float64)

@@ -18,6 +18,7 @@ from .errors import InsufficientData, InvalidConfig, InvalidInput, InvalidShape
 from .linalg import SeededRng, Tensor, center_rows, gram_spectrum
 
 DEFAULT_RESERVOIR_CAPACITY = 256
+_DRAW_BLOCK = 1024
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.5
 
@@ -33,6 +34,9 @@ class Reservoir:
 
     Algorithm R: the first ``capacity`` vectors fill the buffer; afterwards
     the j-th offer survives with probability capacity/j. Single-writer.
+
+    It owns ``rng`` and draws ahead: one ``randints`` call gives the next
+    ``_DRAW_BLOCK`` offers the slots that one ``randint`` each would give.
     """
 
     def __init__(self, capacity: int, width: int, rng: SeededRng):
@@ -46,6 +50,7 @@ class Reservoir:
         self.seen = 0
         self._buf = np.empty((capacity, width), dtype=np.float64)
         self._count = 0
+        self._slots: list[int] = []  # drawn slots of the coming offers, the next one last
 
     def __len__(self) -> int:
         return self._count
@@ -59,7 +64,10 @@ class Reservoir:
             self._buf[self._count] = vec
             self._count += 1
             return
-        j = self.rng.randint(self.seen)
+        if not self._slots:
+            bounds = np.arange(self.seen, self.seen + _DRAW_BLOCK)
+            self._slots = self.rng.randints(bounds)[::-1].tolist()
+        j = self._slots.pop()
         if j < self.capacity:
             self._buf[j] = vec
 

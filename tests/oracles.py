@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from taq.errors import InvalidInput
-from taq.model import DEFAULT_MAX_NEW_TOKENS, _pad_batch, forward
+from taq.model import DEFAULT_MAX_NEW_TOKENS, LN_EPS, _pad_batch, forward
 from taq.tasks import EOS
 
 
@@ -133,3 +133,65 @@ def greedy_decode_recompute(model, prompts: list[list[int]],
                 still.append(i)
         active = still
     return preds
+
+
+def reservoir_reference(rows, capacity: int, rng) -> tuple[np.ndarray, int]:
+    """Algorithm R (Vitter 1985) one offer at a time, one ``rng.randint`` per
+    offer past the fill. Returns the kept rows and the number offered."""
+    kept: list = []
+    seen = 0
+    for row in rows:
+        seen += 1
+        if len(kept) < capacity:
+            kept.append(row)
+            continue
+        j = rng.randint(seen)
+        if j < capacity:
+            kept[j] = row
+    return np.array(kept), seen
+
+
+def forward_reference(model, tokens, capture=None) -> np.ndarray:
+    """The toy model's forward pass written plainly: 3-D broadcast matmuls,
+    an additive -1e30 causal mask and an out-of-place softmax."""
+    cfg = model.config
+    w = model.params
+    tokens = np.asarray(tokens)
+    t = tokens.shape[1]
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+
+    def layer_norm(x, g, b):
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        istd = 1.0 / np.sqrt(var + LN_EPS)
+        return xc * istd * g + b
+
+    def softmax(z):
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def split_heads(x):
+        b, t, d = x.shape
+        return x.reshape(b, t, cfg.n_heads, d // cfg.n_heads).transpose(0, 2, 1, 3)
+
+    def merge_heads(x):
+        b, h, t, dh = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+    x = w["embed.tok"][tokens] + w["embed.pos"][:t]
+    causal = np.where(np.arange(t) <= np.arange(t)[:, None], 0.0, -1e30)
+    for i in range(cfg.n_layers):
+        pre = f"layer{i}."
+        a = layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"])
+        qh = split_heads(a @ w[pre + "attn.wq"])
+        kh = split_heads(a @ w[pre + "attn.wk"])
+        vh = split_heads(a @ w[pre + "attn.wv"])
+        p = softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + causal)
+        x1 = x + merge_heads(p @ vh) @ w[pre + "attn.wo"]
+        m = layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"])
+        x = x1 + np.maximum(m @ w[pre + "mlp.w1"], 0.0) @ w[pre + "mlp.w2"]
+        if capture is not None:
+            capture(i, x)
+    return layer_norm(x, w["ln_f.g"], w["ln_f.b"]) @ w["unembed.w"]

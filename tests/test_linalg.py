@@ -155,3 +155,17 @@ class TestSeededRng:
         draws = [rng.randint(10) for _ in range(1000)]
         assert min(draws) >= 0 and max(draws) < 10
         assert len(set(draws)) == 10
+
+    def test_randints_match_a_randint_loop(self):
+        # values and stream position, bounds small and near 2**63
+        bounds = [1, 2, 3, 10, 256, 1025, 2**32 + 7, 2**62 + 1, 2**63 - 1] * 3
+        rng, loop = SeededRng(31), SeededRng(31)
+        assert rng.randints(np.array(bounds)).tolist() == [loop.randint(b) for b in bounds]
+        assert rng.next_u64() == loop.next_u64()
+        assert rng.randints(np.arange(0)).size == 0 and rng.next_u64() == loop.next_u64()
+
+    @pytest.mark.parametrize("bounds", [[3, 0], [-2], [2.0, 3.0], [[4]]],
+                             ids=["zero", "negative", "float", "2-d"])
+    def test_randints_bad_bounds_rejected(self, bounds):
+        with pytest.raises(InvalidInput):
+            SeededRng(1).randints(bounds)

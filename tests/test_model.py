@@ -32,7 +32,7 @@ from taq.stats import (Reservoir, StreamingMoments, finalize_profile, spectral_e
                        variance_and_stability)
 from taq.tasks import EOS, SEP, ToyTask, gen_task, full_sequence
 
-from oracles import greedy_decode_recompute
+from oracles import forward_reference, greedy_decode_recompute
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
 
@@ -165,6 +165,57 @@ class TestForward:
         with pytest.raises(InvalidInput):
             loss_and_grads(model, tokens, [[2, 3]], [[1.0, 1.0]])
 
+    def test_ragged_tokens_rejected(self):
+        with pytest.raises(InvalidInput):
+            forward(init_model(SMALL), [[1, 2], [3]])
+
+    @pytest.mark.parametrize("weight_scale", [1.0, 10.0], ids=["init", "sharp"])
+    @pytest.mark.parametrize("length", [5, 11])
+    def test_matches_reference_bit_for_bit(self, length, weight_scale):
+        # default config and a 64-prompt batch right-padded to `length`; x10
+        # weights make attention peaked, so scores span a wide range
+        model = init_model(ModelConfig())
+        for name, w in model.params.items():
+            if not name.endswith((".g", ".b")):
+                model.params[name] = w * weight_scale
+        rng = SeededRng(length)
+        prompts = [[rng.randint(64) for _ in range(1 + rng.randint(length))]
+                   for _ in range(63)] + [[5] * length]
+        tokens = _pad_batch(prompts)
+        got, want = [], []
+        logits = forward(model, tokens, capture=lambda i, x: got.append(x.copy()))
+        expected = forward_reference(model, tokens, capture=lambda i, x: want.append(x))
+        assert np.array_equal(logits, expected)
+        assert len(got) == len(want) == model.config.n_layers
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_no_underflow_in_forward_or_decode(self):
+        # masked attention logits must not reach exp, where they underflow
+        model = init_model(SMALL)
+        tokens, _, _ = small_batch(SMALL, batch=4)
+        items = gen_task(ToyTask("copy", 3, vocab=SMALL.vocab, max_payload=4), 8)
+        with np.errstate(under="raise"):
+            forward(model, tokens)
+            evaluate(model, items, max_new_tokens=6)
+
+    @pytest.mark.parametrize("key_gain", [20.0, -20.0], ids=["below-max", "above-max"])
+    def test_masked_scores_far_from_the_row_max(self, key_gain):
+        # token 4 attends only itself, at score +-1600; its masked score on
+        # the later token 5 is 0, so exp(score - max) would underflow or
+        # overflow (inf * 0 = nan) if masked entries reached exp
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8)
+        model = init_model(cfg)
+        e4, e5 = np.zeros(8), np.zeros(8)
+        e4[:2], e5[2:4] = (1.0, -1.0), (1.0, -1.0)
+        model.params["embed.tok"][[4, 5]] = e4, e5
+        model.params["embed.pos"][:] = 0.0
+        u = e4 / np.linalg.norm(e4)
+        model.params["layer0.attn.wq"] = 20.0 * np.outer(u, u)
+        model.params["layer0.attn.wk"] = key_gain * np.eye(8)
+        with np.errstate(all="raise"):
+            assert np.isfinite(forward(model, [[4, 5]])).all()
+
     def test_empty_tokens_allowed(self):
         assert embed(init_model(SMALL), [[]]).shape == (1, 0, SMALL.d_model)
 
@@ -224,6 +275,16 @@ class TestGradients:
         for name, p in model.params.items():
             assert grads[name].shape == p.shape, name
             assert np.isfinite(grads[name]).all(), name
+
+    @pytest.mark.parametrize("targets, mask", [
+        ([[40, 1]], [[1.0, 1.0]]),
+        ([[4]], [[1.0, 1.0]]),
+        ([[4, 1]], [[1.0]]),
+        ([[4, 1]], [[1.0, float("nan")]]),
+    ], ids=["target-out-of-vocab", "targets-shape", "mask-shape", "nan-mask"])
+    def test_bad_targets_or_mask_rejected(self, targets, mask):
+        with pytest.raises(InvalidInput):
+            loss_and_grads(init_model(SMALL), [[1, 2]], targets, mask)
 
     def test_finite_difference_agreement(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)
@@ -359,6 +420,13 @@ class TestEvaluate:
         items = gen_task(ToyTask("copy", 3, vocab=SMALL.vocab, max_payload=4), 2)
         with pytest.raises(InvalidInput):
             evaluate(init_model(SMALL), items, max_new_tokens=-1)
+
+    @pytest.mark.parametrize("prompt", [[1.5, 2], [1, 2.0], [[1], 2]],
+                             ids=["fraction", "integral-float", "nested"])
+    def test_non_integer_prompt_rejected(self, prompt):
+        # padding used to truncate a float id to an integer one
+        with pytest.raises(InvalidInput):
+            evaluate(init_model(SMALL), [(prompt, [3])])
 
     def test_deterministic_eval(self):
         model = init_model(SMALL)

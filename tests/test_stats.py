@@ -6,6 +6,7 @@ import pytest
 from taq.errors import InsufficientData, InvalidConfig, InvalidInput, InvalidShape
 from taq.linalg import SeededRng
 from taq.stats import (
+    _DRAW_BLOCK,
     Reservoir,
     StreamingMoments,
     finalize_profile,
@@ -15,7 +16,7 @@ from taq.stats import (
     zscore,
 )
 
-from oracles import two_pass_variance
+from oracles import reservoir_reference, two_pass_variance
 
 
 class TestReservoir:
@@ -38,6 +39,20 @@ class TestReservoir:
         res = Reservoir(2, 3, SeededRng(0))
         with pytest.raises(InvalidShape):
             res.offer([1.0, 2.0])
+
+    @pytest.mark.parametrize("stream", [0, 1, 16, 17, _DRAW_BLOCK - 1, _DRAW_BLOCK,
+                                        _DRAW_BLOCK + 1, 16 + _DRAW_BLOCK - 1,
+                                        16 + _DRAW_BLOCK, 16 + _DRAW_BLOCK + 1, 5000])
+    def test_matches_per_offer_algorithm_r(self, stream):
+        # slots drawn ahead in blocks: the kept rows are those of one randint
+        # per offer, across every block boundary
+        rows = SeededRng(8).normals(3 * stream).reshape(stream, 3)
+        res = Reservoir(16, 3, SeededRng(21))
+        for row in rows:
+            res.offer(row)
+        want, seen = reservoir_reference(rows, 16, SeededRng(21))
+        assert res.seen == seen == stream
+        assert np.array_equal(res.rows(), want.reshape(-1, 3))
 
     def test_inclusion_frequency_monte_carlo(self):
         # Algorithm-R property: after the stream ends, every offered vector
