@@ -61,8 +61,10 @@ class Tensor:
 class SeededRng:
     """Splitmix-style 64-bit generator; identical seeds give identical streams.
 
-    Single-owner: one consumer at a time. ``derive`` creates an independent
-    child stream from the current state without advancing it.
+    ``next_u64s(n)`` is the vector form of ``next_u64``: the same n values
+    and the same stream position after them. Single-owner: one consumer at a
+    time. ``derive`` creates an independent child stream from the current
+    state without advancing it.
     """
 
     __slots__ = ("_state", "_spare")
@@ -88,11 +90,13 @@ class SeededRng:
         b = np.asarray(bounds)
         if b.ndim != 1 or (b.size and (b.dtype.kind not in "iu" or b.min() <= 0)):
             raise InvalidInput("randints bounds must be a 1-D vector of positive integers")
-        return (self._next_u64s(b.size) % b.astype(np.uint64)).astype(np.int64)
+        return (self.next_u64s(b.size) % b.astype(np.uint64)).astype(np.int64)
 
-    def _next_u64s(self, n: int) -> np.ndarray:
+    def next_u64s(self, n: int) -> np.ndarray:
         """The next n ``next_u64`` values, as one array. uint64 array
         arithmetic wraps silently, unlike numpy scalars."""
+        if n < 0:
+            raise InvalidInput(f"draw count must be >= 0, got {n}")
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self._state = (self._state + n * _GAMMA) & _MASK
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -118,7 +122,7 @@ class SeededRng:
         if remaining <= 0:
             return out
         pairs = (remaining + 1) // 2
-        z = self._next_u64s(2 * pairs)
+        z = self.next_u64s(2 * pairs)
         # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
         u1 = ((z[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
         u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

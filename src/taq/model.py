@@ -299,7 +299,10 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     cfg = model.config
     arr = _validate_tokens(cfg, tokens)
     targets = _validate_tokens(cfg, targets)
-    mask = np.asarray(loss_mask, dtype=np.float64)
+    try:
+        mask = np.asarray(loss_mask, dtype=np.float64)
+    except (TypeError, ValueError) as err:  # ragged nesting or non-numbers
+        raise InvalidInput(f"loss mask must be a rectangular array of numbers: {err}") from None
     if targets.shape != arr.shape or mask.shape != arr.shape:
         raise InvalidInput(f"targets {targets.shape} and loss mask {mask.shape} must have "
                            f"the tokens' shape {arr.shape}")
@@ -415,11 +418,13 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
         return {"steps": 0, "initial_loss": None, "final_loss": None}
     if not items:
         raise InvalidInput("training needs at least one item")
+    if any(len(prompt) == 0 for prompt, _ in items):
+        raise InvalidInput("every training item needs a prompt of at least one token")
     rng = SeededRng(seed).derive(_TRAIN_TAG)
     window = max(1, min(100, steps // 10))
     losses: list[float] = []
     for step in range(steps):
-        idx = [rng.randint(len(items)) for _ in range(batch_size)]
+        idx = rng.randints(np.full(batch_size, len(items))).tolist()
         tokens, targets, mask = _training_batch(items, idx)
         loss, grads = loss_and_grads(model, tokens, targets, mask)
         if not math.isfinite(loss):

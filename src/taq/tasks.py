@@ -9,6 +9,10 @@ The tokenizer is the identity over integer ids. Ids 0..3 are reserved
 so one jointly trained model can serve all three tasks; payload tokens are
 drawn from [7, vocab). modadd answers are taken mod vocab, with operand
 pairs whose sum collides with a reserved id rejected at generation time.
+
+``gen_task`` draws its u64 values in blocks (``SeededRng.next_u64s``) and
+walks them once per item; the items are the ones a ``randint`` per token
+from the same stream gives.
 """
 
 from __future__ import annotations
@@ -40,8 +44,11 @@ class ToyTask:
     def __post_init__(self):
         if self.id not in TASK_IDS:
             raise InvalidInput(f"unknown task {self.id!r}, expected one of {TASK_IDS}")
-        if self.vocab <= PAYLOAD_MIN + 1:
-            raise InvalidInput(f"vocab {self.vocab} leaves no payload token space")
+        for name in ("seed", "vocab", "min_payload", "max_payload"):
+            if not isinstance(getattr(self, name), int):
+                raise InvalidInput(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not PAYLOAD_MIN + 1 < self.vocab <= 2**63:  # so a + b of two u64 draws cannot wrap
+            raise InvalidInput(f"vocab {self.vocab} must lie in ({PAYLOAD_MIN + 1}, 2**63]")
         if not (1 <= self.min_payload <= self.max_payload):
             raise InvalidInput("payload length bounds must satisfy 1 <= min <= max")
 
@@ -63,26 +70,34 @@ def make_prompt(task_id: str, payload: list[int]) -> list[int]:
 
 
 def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
-    """n deterministic (prompt, answer) pairs for the task."""
-    if n < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
+    """n deterministic (prompt, answer) pairs for the task.
+
+    Stream order: per copy/sortseq item a length draw, then one draw per
+    payload token; per modadd attempt an (a, b) pair, repeated until the sum
+    clears the reserved ids.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInput(f"need an int n >= 1, got {n!r}")
     rng = SeededRng(task.seed).derive(_GEN_TAG[task.id])
     span = task.vocab - PAYLOAD_MIN
     items = []
+    if task.id == "modadd":
+        while len(items) < n:  # one attempt per missing item, until n are accepted
+            a, b = (PAYLOAD_MIN + rng.next_u64s(2 * (n - len(items))) % span).reshape(-1, 2).T
+            ok = modadd_answer(a, b, task.vocab)[0] >= N_RESERVED
+            items += [(make_prompt(task.id, [x, y]), modadd_answer(x, y, task.vocab))
+                      for x, y in zip(a[ok].tolist(), b[ok].tolist())]
+        return items
+    # an item takes at most 1 + max_payload draws; the unread tail is dropped
+    z = rng.next_u64s(n * (1 + task.max_payload))
+    lengths = (task.min_payload + z % (task.max_payload - task.min_payload + 1)).tolist()
+    tokens = (PAYLOAD_MIN + z % span).tolist()
+    answer = copy_answer if task.id == "copy" else sortseq_answer
+    pos = 0
     for _ in range(n):
-        if task.id == "modadd":
-            while True:
-                a = PAYLOAD_MIN + rng.randint(span)
-                b = PAYLOAD_MIN + rng.randint(span)
-                answer = modadd_answer(a, b, task.vocab)
-                if answer[0] >= N_RESERVED:
-                    break
-            payload = [a, b]
-        else:
-            length = task.min_payload + rng.randint(task.max_payload - task.min_payload + 1)
-            payload = [PAYLOAD_MIN + rng.randint(span) for _ in range(length)]
-            answer = copy_answer(payload) if task.id == "copy" else sortseq_answer(payload)
-        items.append((make_prompt(task.id, payload), answer))
+        payload = tokens[pos + 1: pos + 1 + lengths[pos]]
+        pos += 1 + lengths[pos]
+        items.append((make_prompt(task.id, payload), answer(payload)))
     return items
 
 

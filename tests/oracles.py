@@ -12,8 +12,10 @@ import math
 import numpy as np
 
 from taq.errors import InvalidInput
+from taq.linalg import SeededRng
 from taq.model import DEFAULT_MAX_NEW_TOKENS, LN_EPS, _pad_batch, forward
-from taq.tasks import EOS
+from taq.tasks import (_GEN_TAG, EOS, N_RESERVED, PAYLOAD_MIN, copy_answer, make_prompt,
+                       modadd_answer, sortseq_answer)
 
 
 def gram_triple_loop(z: np.ndarray) -> np.ndarray:
@@ -149,6 +151,28 @@ def reservoir_reference(rows, capacity: int, rng) -> tuple[np.ndarray, int]:
         if j < capacity:
             kept[j] = row
     return np.array(kept), seen
+
+
+def gen_task_loop(task, n: int) -> list[tuple[list[int], list[int]]]:
+    """``gen_task`` one ``rng.randint`` per token, in stream order."""
+    rng = SeededRng(task.seed).derive(_GEN_TAG[task.id])
+    span = task.vocab - PAYLOAD_MIN
+    items = []
+    for _ in range(n):
+        if task.id == "modadd":
+            while True:
+                a = PAYLOAD_MIN + rng.randint(span)
+                b = PAYLOAD_MIN + rng.randint(span)
+                answer = modadd_answer(a, b, task.vocab)
+                if answer[0] >= N_RESERVED:
+                    break
+            payload = [a, b]
+        else:
+            length = task.min_payload + rng.randint(task.max_payload - task.min_payload + 1)
+            payload = [PAYLOAD_MIN + rng.randint(span) for _ in range(length)]
+            answer = copy_answer(payload) if task.id == "copy" else sortseq_answer(payload)
+        items.append((make_prompt(task.id, payload), answer))
+    return items
 
 
 def forward_reference(model, tokens, capture=None) -> np.ndarray:

@@ -164,6 +164,17 @@ class TestSeededRng:
         assert rng.next_u64() == loop.next_u64()
         assert rng.randints(np.arange(0)).size == 0 and rng.next_u64() == loop.next_u64()
 
+    @pytest.mark.parametrize("k", [0, 1, 5, 1000])
+    def test_next_u64s_match_a_next_u64_loop(self, k):
+        # values and stream position after them
+        rng, loop = SeededRng(37), SeededRng(37)
+        assert rng.next_u64s(k).tolist() == [loop.next_u64() for _ in range(k)]
+        assert rng.next_u64() == loop.next_u64()
+
+    def test_next_u64s_negative_count_rejected(self):
+        with pytest.raises(InvalidInput):
+            SeededRng(1).next_u64s(-1)
+
     @pytest.mark.parametrize("bounds", [[3, 0], [-2], [2.0, 3.0], [[4]]],
                              ids=["zero", "negative", "float", "2-d"])
     def test_randints_bad_bounds_rejected(self, bounds):

@@ -281,7 +281,8 @@ class TestGradients:
         ([[4]], [[1.0, 1.0]]),
         ([[4, 1]], [[1.0]]),
         ([[4, 1]], [[1.0, float("nan")]]),
-    ], ids=["target-out-of-vocab", "targets-shape", "mask-shape", "nan-mask"])
+        ([[4, 1]], [[1.0, 1.0], [1.0]]),
+    ], ids=["target-out-of-vocab", "targets-shape", "mask-shape", "nan-mask", "ragged-mask"])
     def test_bad_targets_or_mask_rejected(self, targets, mask):
         with pytest.raises(InvalidInput):
             loss_and_grads(init_model(SMALL), [[1, 2]], targets, mask)
@@ -363,6 +364,26 @@ class TestTraining:
             train_toy(model, items, steps=1, **kwargs)
         for name in before:
             np.testing.assert_array_equal(model.params[name], before[name])
+
+    def test_empty_prompt_rejected_before_first_step(self):
+        # batched with a good item, its loss-mask slice would start at -1 and
+        # select nothing, so the item would silently drop out of the loss
+        model = init_model(SMALL)
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(InvalidInput):
+            train_toy(model, [([], [9, 10]), ([1, 4, 9, 2], [9])], steps=2, batch_size=2)
+        for name in before:
+            np.testing.assert_array_equal(model.params[name], before[name])
+
+    def test_batch_indices_match_a_randint_loop(self, monkeypatch):
+        # one randints draw per step gives the indices of one randint per index
+        seen, batch = [], taq.model._training_batch
+        monkeypatch.setattr(taq.model, "_training_batch",
+                            lambda items, idx: seen.append(idx) or batch(items, idx))
+        items = gen_task(ToyTask("copy", 1, vocab=SMALL.vocab, max_payload=4), 5)
+        train_toy(init_model(SMALL), items, steps=3, seed=4, batch_size=6)
+        rng = SeededRng(4).derive(taq.model._TRAIN_TAG)
+        assert seen == [[rng.randint(5) for _ in range(6)] for _ in range(3)]
 
 
 def scripted_evaluate(monkeypatch, preds, answers) -> EvalResult:

@@ -17,6 +17,8 @@ from taq.tasks import (
     sortseq_answer,
 )
 
+from oracles import gen_task_loop
+
 
 class TestAnswerRules:
     def test_copy(self):
@@ -63,6 +65,30 @@ class TestGenTask:
     def test_modadd_avoids_reserved_answer_ids(self):
         items = gen_task(ToyTask("modadd", seed=11), 300)
         assert all(answer[0] >= N_RESERVED for _, answer in items)
+
+    @pytest.mark.parametrize("task_id", ["copy", "modadd", "sortseq"])
+    @pytest.mark.parametrize("fields", [
+        {}, {"min_payload": 4, "max_payload": 4}, {"min_payload": 1, "max_payload": 1},
+        {"vocab": 16},  # modadd rejects about 22% of pairs, so refill blocks are drawn
+        {"vocab": 2**63},  # the largest: a + b of two draws comes within 2 of 2**64
+    ], ids=["default", "min-eq-max", "max-1", "vocab-16", "vocab-2**63"])
+    def test_matches_per_token_loop(self, task_id, fields):
+        for seed in (0, 1, 7, 2**64 - 1):
+            task = ToyTask(task_id, seed, **fields)
+            for n in (1, 2, 7, 1024):
+                assert gen_task(task, n) == gen_task_loop(task, n), (seed, n)
+
+    @pytest.mark.parametrize("fields, n", [
+        ({}, 2.5),
+        ({"vocab": 64.5}, 2),
+        ({"min_payload": 2.5}, 2),
+        ({"max_payload": 4.5}, 2),
+        ({"seed": 1.5}, 2),
+        ({"vocab": 2**63 + 1}, 2),
+    ], ids=["n", "vocab", "min_payload", "max_payload", "seed", "vocab-beyond-u64"])
+    def test_bad_input_rejected(self, fields, n):
+        with pytest.raises(InvalidInput):
+            gen_task(ToyTask(**{"id": "copy", "seed": 1, **fields}), n)
 
     def test_bad_count(self):
         with pytest.raises(InvalidInput):
