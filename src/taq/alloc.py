@@ -1,8 +1,8 @@
 """Bitwidth allocation: relevance-ranked assignment under a bit budget.
 
 The rank allocator pins edge layers at full precision, sorts the remaining
-layers by relevance, and hands out 16/8/4 bits by rank fractions. Cost is
-counted in weight-bits with pinned layers at 32 bits per weight.
+layers by relevance, and hands out 16/8/4 bits by rank fractions. A
+``CostModel`` prices every plan in weight-bits, pinned layers at 32 bits.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetInfeasible, InvalidConfig, InvalidInput, ModelTooSmall
+from .errors import BudgetInfeasible, InvalidInput, ModelTooSmall, require_int
 from .quant import ADMISSIBLE_BITS
 
 PIN_FULL_BITS = 32
@@ -28,7 +28,7 @@ class CostModel:
     weight_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(c, (int, np.integer)) and c >= 0 for c in self.weight_counts):
+        if not all(require_int("weight count", c) >= 0 for c in self.weight_counts):
             raise InvalidInput(
                 f"weight counts must be non-negative integers, got {self.weight_counts}")
 
@@ -37,7 +37,8 @@ class CostModel:
             raise InvalidInput(
                 f"plan covers {len(bits_per_layer)} layers, cost model has "
                 f"{len(self.weight_counts)}")
-        return int(sum(c * b for c, b in zip(self.weight_counts, bits_per_layer)))
+        return int(sum(c * require_int("bits", b)
+                       for c, b in zip(self.weight_counts, bits_per_layer)))
 
 
 @dataclass
@@ -46,7 +47,7 @@ class BitPlan:
 
     bits: list[int]
     pinned: frozenset[int]
-    cost: int | None
+    cost: int
     source: str = ""
 
     @property
@@ -64,7 +65,7 @@ class AllocConfig:
     def __post_init__(self):
         if not (0.0 <= self.f16 <= 1.0 and 0.0 <= self.f8 <= 1.0):
             raise InvalidInput("rank fractions must lie in [0, 1]")
-        if not (isinstance(self.edge_pin, (int, np.integer)) and self.edge_pin >= 0):
+        if require_int("edge_pin", self.edge_pin) < 0:
             raise InvalidInput(f"edge_pin must be an integer >= 0, got {self.edge_pin}")
         if self.budget is not None and not math.isfinite(self.budget):
             raise InvalidInput(f"budget must be finite, or None for no budget; got {self.budget}")
@@ -80,17 +81,14 @@ def _relevance(relevance, n_layers: int | None = None) -> np.ndarray:
     return r
 
 
-def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
-                  cost_model: CostModel | None = None) -> BitPlan:
+def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan:
     """Rank non-edge layers by relevance and assign 16/8/4 bits by fraction.
 
     The top ceil(f16 * M) layers get 16 bits, the next ceil(f8 * M) get 8,
     the rest 4 (M = non-edge count). Ties break toward the lower layer
-    index. Raises BudgetInfeasible when a budget is set and exceeded, and
-    InvalidConfig when a budget is set without a cost model to check it.
+    index. The plan is priced by ``cost_model``; raises BudgetInfeasible
+    when a budget is set and that cost exceeds it.
     """
-    if cfg.budget is not None and cost_model is None:
-        raise InvalidConfig(f"budget {cfg.budget} needs a cost model to be checked")
     r = _relevance(relevance)
     n = r.size
     if n < 2 * cfg.edge_pin + 1:
@@ -111,7 +109,7 @@ def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
             bits[layer] = 8
         else:
             bits[layer] = 4
-    cost = cost_model.cost(bits) if cost_model is not None else None
+    cost = cost_model.cost(bits)
     if cfg.budget is not None and cost > cfg.budget:
         raise BudgetInfeasible(
             f"rank plan costs {cost} weight-bits, budget is {cfg.budget}",
@@ -119,14 +117,15 @@ def allocate_rank(relevance, cfg: AllocConfig = AllocConfig(),
     return BitPlan(bits=bits, pinned=pinned, cost=cost, source="taq")
 
 
-def uniform_plan(n_layers: int, bits: int,
-                 cost_model: CostModel | None = None) -> BitPlan:
-    """Task-agnostic baseline: every layer at the same bitwidth."""
-    if bits not in ADMISSIBLE_BITS:
+def uniform_plan(n_layers: int, bits: int, cost_model: CostModel) -> BitPlan:
+    """Task-agnostic baseline: every layer at ``bits``, priced by ``cost_model``."""
+    if require_int("n_layers", n_layers) < 1:
+        raise InvalidInput(f"n_layers must be >= 1, got {n_layers}")
+    if require_int("bits", bits) not in ADMISSIBLE_BITS:
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
     plan_bits = [bits] * n_layers
-    cost = cost_model.cost(plan_bits) if cost_model is not None else None
-    return BitPlan(bits=plan_bits, pinned=frozenset(), cost=cost, source=f"uniform:{bits}")
+    return BitPlan(bits=plan_bits, pinned=frozenset(), cost=cost_model.cost(plan_bits),
+                   source=f"uniform:{bits}")
 
 
 def check_monotone(plan: BitPlan, relevance) -> bool:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy and the integer check shared by every module.
 
 The CLI planned in ROADMAP direction 2 is to map them to exit codes:
 config/data problems exit 2, budget infeasibility exits 3, numeric
@@ -6,6 +6,8 @@ convergence failures exit 4.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class TaqError(Exception):
@@ -59,3 +61,11 @@ class BudgetInfeasible(TaqError):
         super().__init__(message)
         self.achieved_cost = achieved_cost
         self.budget = budget
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as a Python int. Raises InvalidInput unless it is an int or a
+    numpy integer; a bool is refused too, as a flag and not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -1,9 +1,7 @@
-"""Dense float64 linear algebra and the deterministic RNG used by every stage.
+"""The finite 2-D float64 ``Tensor`` and the deterministic RNG used by every stage.
 
-All analysis math runs in 64-bit floats. Gram spectra come from LAPACK's
-SVD (through numpy) of the data matrix; the Gram itself is never formed. The
-RNG is a splitmix-style 64-bit generator with Box-Muller normals, so value
-streams are identical across platforms.
+The RNG is a splitmix-style 64-bit generator with Box-Muller normals, so
+value streams are identical across platforms.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInput, InvalidShape
+from .errors import InvalidInput, InvalidShape
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -143,23 +141,3 @@ class SeededRng:
         mixed = _mix64((self._state + (tag + 1) * _GAMMA) & _MASK)
         child_seed = _mix64(mixed ^ _DERIVE_SALT)
         return SeededRng(child_seed)
-
-
-def center_rows(x: Tensor) -> Tensor:
-    """Subtract the per-column mean so output column means are zero."""
-    centered = x.values - x.values.mean(axis=0, keepdims=True)
-    return Tensor(centered, label=x.label)
-
-
-def gram_spectrum(z: Tensor) -> np.ndarray:
-    """Eigenvalues of the row Gram (1/r) Z Z^T, sorted descending.
-
-    Computed as squared singular values of Z, so the Gram is never formed:
-    the result is non-negative by construction and has min(r, d) entries;
-    the remaining eigenvalues of an r x r Gram with r > d are exactly zero.
-    """
-    try:
-        s = np.linalg.svd(z.values, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge on a {z.rows}x{z.cols} matrix") from exc
-    return s * s / float(z.rows)

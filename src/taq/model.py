@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged
+from .errors import InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged, require_int
 from .linalg import SeededRng, Tensor
 from .quant import QTensor, quantize_tensor
 from .tasks import EOS, PAD, full_sequence
@@ -47,6 +47,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_layers", "d_model", "n_heads", "vocab", "max_seq", "seed"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise InvalidConfig(f"d_model {self.d_model} must be a positive multiple "
                                 f"of a positive n_heads, got n_heads {self.n_heads}")
@@ -120,7 +122,7 @@ class ToyModel:
         does not quantize are the parent's arrays, shared."""
         qtensors = {}
         for layer, bits in layer_bits.items():
-            if not (0 <= layer < self.config.n_layers):
+            if not (0 <= require_int("layer", layer) < self.config.n_layers):
                 raise InvalidPlan(f"layer {layer} outside model with "
                                   f"{self.config.n_layers} layers")
             for name in quantizable_names(self.config, layer):
@@ -168,12 +170,11 @@ def _linear(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
-def _attention_mask(t: int, pos) -> np.ndarray:
-    """Where each query may attend each key in ``_block_forward(..., pos)``
-    over t positions; built once per pass or decode step, not per block."""
-    if pos is None:
-        return np.arange(t) <= np.arange(t)[:, None]
-    return np.arange(pos.max() + 1) <= pos[:, None, None, None]
+def _attention_mask(pos: np.ndarray) -> np.ndarray:
+    """(batch or 1, 1, t, n_keys): where each query at ``pos`` (batch or 1, t)
+    may attend each key position, up to the furthest position in ``pos``;
+    built once per pass or decode step, not per block."""
+    return np.arange(pos.max(initial=-1) + 1) <= pos[:, None, :, None]
 
 
 def _split_heads(x, n_heads):
@@ -206,29 +207,24 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
 
 def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=None):
     """One block over x (batch, t, d_model): its output and the activations
-    the backward pass reads. ``kv`` is the block's (keys, values) cache,
-    (2, batch, n_heads, n_pos, d_head). Without ``pos`` the t positions
-    attend causally and, given ``kv``, fill its slots [0, t). With ``pos``
-    (batch,) each row's one new position is written at ``pos`` and attends
-    over the cached keys at or before it, as ``keep`` marks."""
+    the backward pass reads. ``keep`` is ``_attention_mask(pos)``; without
+    ``kv`` the t queries attend over their own t keys. Given the block's
+    cache ``kv``, (2, batch, n_heads, n_pos, d_head), the block writes its
+    keys and values at each row's ``pos`` (batch or 1, t) and attends over
+    the first ``keep.shape[-1]`` slots: prefill and decode step alike."""
     cfg = model.config
     w = model.params
     pre = f"layer{i}."
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    t = x.shape[1]
 
     a, xhat1, istd1 = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"])
     qh = _split_heads(_linear(a, w[pre + "attn.wq"]), cfg.n_heads)
     kh = _split_heads(_linear(a, w[pre + "attn.wk"]), cfg.n_heads)
     vh = _split_heads(_linear(a, w[pre + "attn.wv"]), cfg.n_heads)
-    if pos is None:
-        if kv is not None:
-            kv[0][:, :, :t], kv[1][:, :, :t] = kh, vh
-    else:
-        rows = np.arange(len(pos))
-        kv[0][rows, :, pos], kv[1][rows, :, pos] = kh[:, :, 0], vh[:, :, 0]
-        span = pos.max() + 1
-        kh, vh = kv[0][:, :, :span], kv[1][:, :, :span]
+    if kv is not None:
+        slots = (np.arange(len(x))[:, None], slice(None), pos)  # (batch, t, n_heads, d_head)
+        kv[0][slots], kv[1][slots] = kh.transpose(0, 2, 1, 3), vh.transpose(0, 2, 1, 3)
+        kh, vh = kv[:, :, :, : keep.shape[-1]]
     p = qh @ kh.transpose(0, 1, 3, 2)
     p *= scale
     # Softmax in place, with weight 0 on masked keys. Masked entries never reach
@@ -264,8 +260,10 @@ def embed(model: ToyModel, tokens) -> np.ndarray:
 
 def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
             kv=None, pos=None) -> np.ndarray:
-    """Blocks [start, stop) over x; ``kv`` holds every block's cache."""
-    keep = _attention_mask(x.shape[1], pos)
+    """Blocks [start, stop) over x at positions ``pos`` (batch or 1, t),
+    by default [0, t) for every row; ``kv`` holds every block's cache."""
+    pos = np.arange(x.shape[1])[None] if pos is None else pos
+    keep = _attention_mask(pos)
     for i in range(start, stop):
         # [0]: binding the cache to a name would keep it alive through the next block
         x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos)[0]
@@ -310,8 +308,9 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     if not (math.isfinite(total) and total > 0):
         raise InvalidInput(f"loss mask must be finite and select positions; it sums to {total}")
 
-    x = embed(model, arr)
-    keep = _attention_mask(arr.shape[1], None)
+    w = model.params
+    x = w["embed.tok"][arr] + w["embed.pos"][: arr.shape[1]]
+    keep = _attention_mask(np.arange(arr.shape[1])[None])
     caches = []
     for i in range(cfg.n_layers):
         x, cache = _block_forward(model, i, x, keep)
@@ -332,7 +331,6 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
               (np.arange(b * t), targets.reshape(-1)), -1.0)
     dlogits *= (mask / total)[..., None]
 
-    w = model.params
     grads = dict.fromkeys(w)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
@@ -408,9 +406,9 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     if model.qtensors:
         raise InvalidInput("train the full-precision model, then quantize it; this one "
                            f"has {len(model.qtensors)} quantized weight matrices")
-    if steps < 0:
+    if require_int("steps", steps) < 0:
         raise InvalidInput(f"steps must be >= 0, got {steps}")
-    if batch_size < 1:
+    if require_int("batch_size", batch_size) < 1:
         raise InvalidInput(f"batch_size must be >= 1, got {batch_size}")
     if not (math.isfinite(lr) and lr > 0.0):
         raise InvalidInput(f"lr must be finite and positive, got {lr}")
@@ -420,7 +418,7 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
         raise InvalidInput("training needs at least one item")
     if any(len(prompt) == 0 for prompt, _ in items):
         raise InvalidInput("every training item needs a prompt of at least one token")
-    rng = SeededRng(seed).derive(_TRAIN_TAG)
+    rng = SeededRng(require_int("seed", seed)).derive(_TRAIN_TAG)
     window = max(1, min(100, steps // 10))
     losses: list[float] = []
     for step in range(steps):
@@ -460,7 +458,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     padding slot past a row's length is masked until the row overwrites it.
     A row leaves the batch and the cache once it emits EOS or reaches max_seq.
     """
-    if max_new_tokens < 0:
+    if require_int("max_new_tokens", max_new_tokens) < 0:
         raise InvalidInput(f"max_new_tokens must be >= 0, got {max_new_tokens}")
     if any(len(p) == 0 for p in prompts):
         raise InvalidInput("every prompt needs at least one token")
@@ -490,7 +488,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
             kv = kv[:, :, keep]
         pos = pos + 1
         x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
-        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos)[:, 0]
+        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos[:, None])[:, 0]
     return preds
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCodes, InvalidInput, InvalidShape
+from .errors import CorruptCodes, InvalidInput, InvalidShape, require_int
 from .linalg import Tensor
 
 ADMISSIBLE_BITS = (4, 8, 16)
@@ -24,9 +24,9 @@ SCALE_FLOOR = 1e-12
 
 
 def _check_format(bits: int, group_size: int) -> None:
-    if bits not in ADMISSIBLE_BITS:
+    if require_int("bits", bits) not in ADMISSIBLE_BITS:
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
-    if group_size < 1:
+    if require_int("group_size", group_size) < 1:
         raise InvalidInput(f"group_size must be >= 1, got {group_size}")
 
 

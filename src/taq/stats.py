@@ -2,9 +2,9 @@
 entropy, stability and z-scored relevance.
 
 Entropy is the Shannon entropy of the normalized eigenvalue spectrum of the
-centered activation Gram matrix; stability is the negative element variance.
-Both are z-scored across layers and combined into a relevance score that
-drives bit allocation.
+centered activation Gram matrix, from one SVD of the centered reservoir rows;
+stability is the negative element variance. Both are z-scored across layers
+and combined into a relevance score that drives bit allocation.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidConfig, InvalidInput, InvalidShape
-from .linalg import SeededRng, Tensor, center_rows, gram_spectrum
+from .errors import (ConvergenceError, InsufficientData, InvalidConfig, InvalidInput, InvalidShape,
+                     require_int)
+from .linalg import SeededRng
 
 DEFAULT_RESERVOIR_CAPACITY = 256
 _DRAW_BLOCK = 1024
@@ -40,9 +41,9 @@ class Reservoir:
     """
 
     def __init__(self, capacity: int, width: int, rng: SeededRng):
-        if capacity < 1:
+        if require_int("reservoir capacity", capacity) < 1:
             raise InvalidInput(f"reservoir capacity must be >= 1, got {capacity}")
-        if width < 1:
+        if require_int("reservoir width", width) < 1:
             raise InvalidInput(f"reservoir width must be >= 1, got {width}")
         self.capacity = capacity
         self.width = width
@@ -115,23 +116,31 @@ def variance_and_stability(m: StreamingMoments) -> tuple[float, float]:
 
 
 def spectral_entropy(reservoir: Reservoir) -> tuple[float, bool]:
-    """Entropy of the normalized eigenvalue spectrum of the centered Gram.
+    """Entropy (nats) of the normalized eigenvalue spectrum of the centered
+    row Gram (1/r) Z Z^T, the log effective rank of Roy & Vetterli (EUSIPCO
+    2007), from one SVD of the centered rows: the Gram is never formed.
 
-    Returns (entropy_nats, degenerate). Degenerate means every eigenvalue
-    fell below the keep threshold (all reservoir rows identical), in which
-    case the entropy is 0 by convention. This is the log of the effective
-    rank of Roy & Vetterli (EUSIPCO 2007).
-    """
+    Returns (entropy, degenerate). Degenerate means all rows are equal (or
+    the spectrum underflowed); the entropy is then 0 by convention."""
     if len(reservoir) < 1:
         raise InsufficientData("reservoir is empty")
-    eigvals = gram_spectrum(center_rows(Tensor(reservoir.rows())))
-    lam_max = float(eigvals[0])
-    if lam_max <= 0.0:
+    z = reservoir.rows()
+    if not np.isfinite(z).all():
+        raise InvalidInput("reservoir rows must be finite")
+    if (z == z[0]).all():
         return 0.0, True
-    kept = eigvals[eigvals >= EIG_KEEP_REL * lam_max]
+    z -= z.mean(axis=0, keepdims=True)
+    try:
+        s = np.linalg.svd(z, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge on {z.shape[0]}x{z.shape[1]} rows") from exc
+    eigvals = s * s / float(len(z))
+    if eigvals[0] <= 0.0:
+        return 0.0, True
+    kept = eigvals[eigvals >= EIG_KEEP_REL * eigvals[0]]
     norm = kept / kept.sum()
     entropy = float(-(norm * np.log(norm)).sum())
-    return max(entropy, 0.0), False
+    return max(0.0, entropy), False  # on a tie max keeps 0.0, so -0.0 comes out +0.0
 
 
 def zscore(values) -> tuple[np.ndarray, bool]:

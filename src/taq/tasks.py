@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int
 from .linalg import SeededRng
 
 PAD, BOS, SEP, EOS = 0, 1, 2, 3
@@ -44,9 +44,9 @@ class ToyTask:
     def __post_init__(self):
         if self.id not in TASK_IDS:
             raise InvalidInput(f"unknown task {self.id!r}, expected one of {TASK_IDS}")
+        # stored as Python ints: a numpy int64 vocab would turn gen_task's uint64 draws to floats
         for name in ("seed", "vocab", "min_payload", "max_payload"):
-            if not isinstance(getattr(self, name), int):
-                raise InvalidInput(f"{name} must be an int, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if not PAYLOAD_MIN + 1 < self.vocab <= 2**63:  # so a + b of two u64 draws cannot wrap
             raise InvalidInput(f"vocab {self.vocab} must lie in ({PAYLOAD_MIN + 1}, 2**63]")
         if not (1 <= self.min_payload <= self.max_payload):
@@ -76,8 +76,8 @@ def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
     payload token; per modadd attempt an (a, b) pair, repeated until the sum
     clears the reserved ids.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"need an int n >= 1, got {n!r}")
+    if (n := require_int("n", n)) < 1:
+        raise InvalidInput(f"need n >= 1, got {n}")
     rng = SeededRng(task.seed).derive(_GEN_TAG[task.id])
     span = task.vocab - PAYLOAD_MIN
     items = []

@@ -11,7 +11,7 @@ from taq.alloc import (
     check_monotone,
     uniform_plan,
 )
-from taq.errors import BudgetInfeasible, InvalidConfig, InvalidInput, ModelTooSmall
+from taq.errors import BudgetInfeasible, InvalidInput, ModelTooSmall
 from taq.linalg import SeededRng
 
 from oracles import knapsack_exhaustive
@@ -35,32 +35,37 @@ def sort_then_slice_oracle(relevance, f16, f8, edge_pin):
     return [bits[i] for i in range(n)]
 
 
+def rank(relevance, cfg=AllocConfig()):
+    """allocate_rank priced by one weight per layer."""
+    return allocate_rank(relevance, cfg, CostModel((1,) * len(relevance)))
+
+
 class TestAllocateRank:
     def test_default_n8_example(self):
         # 4 non-edge layers: ceil(0.15*4)=1 at 16-bit, ceil(0.45*4)=2 at 8-bit
         r = [0.0, 0.0, 0.9, 0.1, 0.5, 0.3, 0.0, 0.0]
-        plan = allocate_rank(r)
+        plan = rank(r)
         assert plan.bits == [32, 32, 16, 4, 8, 8, 32, 32]
         assert plan.pinned == frozenset({0, 1, 6, 7})
 
     def test_tie_break_by_index(self):
         r = [0.0] * 9
-        plan = allocate_rank(r)
+        plan = rank(r)
         # 5 non-edge layers (2..6): 1 at 16, 3 at 8, 1 at 4, lowest index first
         assert plan.bits[2:7] == [16, 8, 8, 8, 4]
-        assert allocate_rank(r).bits == plan.bits
+        assert rank(r).bits == plan.bits
 
     def test_matches_sort_then_slice_oracle(self):
         rng = SeededRng(61)
         for trial in range(50):
             n = 12
             r = rng.normals(n)
-            plan = allocate_rank(r)
+            plan = rank(r)
             assert plan.bits == sort_then_slice_oracle(r, 0.15, 0.45, 2)
 
     def test_too_small(self):
         with pytest.raises(ModelTooSmall):
-            allocate_rank([1.0, 2.0, 3.0, 4.0])
+            rank([1.0, 2.0, 3.0, 4.0])
 
     def test_budget_infeasible(self):
         r = np.zeros(8)
@@ -80,10 +85,6 @@ class TestAllocateRank:
         with pytest.raises(InvalidInput):
             AllocConfig(edge_pin=1.5)
 
-    def test_budget_without_cost_model_rejected(self):
-        with pytest.raises(InvalidConfig):
-            allocate_rank(np.zeros(8), AllocConfig(budget=10))
-
     @pytest.mark.parametrize("relevance", [
         [0.0, 0.1, float("nan"), 0.3, 0.4, 0.5, 0.6, 0.7],
         [0.0, 0.1, 0.2, float("inf"), 0.4, 0.5, 0.6, 0.7],
@@ -91,10 +92,10 @@ class TestAllocateRank:
     ], ids=["nan", "inf", "2-d"])
     def test_bad_relevance_rejected(self, relevance):
         with pytest.raises(InvalidInput):
-            allocate_rank(relevance)
+            rank(relevance)
 
     def test_check_monotone_short_relevance_rejected(self):
-        plan = allocate_rank(np.arange(8.0))
+        plan = rank(np.arange(8.0))
         with pytest.raises(InvalidInput):
             check_monotone(plan, np.arange(5.0))
 
@@ -103,31 +104,29 @@ class TestAllocateRank:
         for trial in range(100):
             n = 5 + rng.randint(28)
             r = rng.normals(n)
-            plan = allocate_rank(r)
+            plan = rank(r)
             assert check_monotone(plan, r)
 
 
 class TestPlanCost:
     def test_all_4bit_arithmetic(self):
-        plan = uniform_plan(5, 4)
-        assert CostModel((100,) * 5).cost(plan.bits) == 2000
+        plan = uniform_plan(5, 4, CostModel((100,) * 5))
+        assert plan.cost == 2000
 
     def test_pointwise_dominance(self):
         cost = CostModel((10, 20, 30))
-        lo = BitPlan(bits=[4, 8, 4], pinned=frozenset(), cost=None)
-        hi = BitPlan(bits=[8, 8, 16], pinned=frozenset(), cost=None)
+        lo = BitPlan(bits=[4, 8, 4], pinned=frozenset(), cost=200)
+        hi = BitPlan(bits=[8, 8, 16], pinned=frozenset(), cost=720)
         assert cost.cost(lo.bits) <= cost.cost(hi.bits)
 
     def test_mixed_plan_hand_sum(self):
-        plan = BitPlan(bits=[32, 16, 8, 4], pinned=frozenset({0}), cost=None)
+        plan = BitPlan(bits=[32, 16, 8, 4], pinned=frozenset({0}), cost=276)
         cost = CostModel((3, 5, 7, 11))
-        assert cost.cost(plan.bits) == 3 * 32 + 5 * 16 + 7 * 8 + 11 * 4
+        assert cost.cost(plan.bits) == 3 * 32 + 5 * 16 + 7 * 8 + 11 * 4 == plan.cost
 
     def test_pinned_counted_at_32(self):
         r = [0.0] * 8
-        plan = allocate_rank(r)
-        cost = CostModel((1,) * 8)
-        assert cost.cost(plan.bits) == 4 * 32 + 16 + 2 * 8 + 4
+        assert rank(r).cost == 4 * 32 + 16 + 2 * 8 + 4
 
     @pytest.mark.parametrize("count", [float("nan"), float("inf"), 1.5, -1],
                              ids=["nan", "inf", "fraction", "negative"])
@@ -156,7 +155,7 @@ class TestKnapsackExact:
             cost = CostModel((10,) * n)
             budget = 10 * (4 * n + rng.randint(12 * n))
             bits = knapsack_exhaustive(r, cost.weight_counts, budget)
-            plan = BitPlan(bits=bits, pinned=frozenset(), cost=None)
+            plan = BitPlan(bits=bits, pinned=frozenset(), cost=cost.cost(bits))
             assert check_monotone(plan, r)
             cfg = AllocConfig(f16=bits.count(16) / n, f8=bits.count(8) / n, edge_pin=0)
             rank_plan = allocate_rank(r, cfg, cost)
@@ -170,6 +169,20 @@ class TestUniformPlan:
         assert plan.source == "uniform:16"
 
     def test_bad_bits(self):
-        from taq.errors import InvalidInput
         with pytest.raises(InvalidInput):
-            uniform_plan(8, 5)
+            uniform_plan(8, 5, CostModel((1,) * 8))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: uniform_plan(0, 4, CostModel(())),
+    lambda: uniform_plan(-1, 4, CostModel(())),
+    lambda: uniform_plan(2.5, 4, CostModel((1, 1))),
+    lambda: uniform_plan(8, 4.0, CostModel((1,) * 8)),
+    lambda: CostModel((1,) * 8).cost([float("nan")] * 8),
+    lambda: CostModel((1,) * 8).cost([4.5] * 8),
+    lambda: AllocConfig(edge_pin=True),
+], ids=["no-layers", "negative-layers", "fractional-layers", "float-bits", "nan-bits",
+        "fractional-bits", "bool-edge-pin"])
+def test_bad_argument_rejected(call):
+    with pytest.raises(InvalidInput):
+        call()

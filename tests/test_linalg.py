@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from taq.errors import ConvergenceError, InvalidInput, InvalidShape
-from taq.linalg import SeededRng, Tensor, center_rows, gram_spectrum
+from taq.linalg import SeededRng, Tensor
+from taq.stats import EIG_KEEP_REL, Reservoir, spectral_entropy
 
 from oracles import charpoly_roots, gram_triple_loop
 
@@ -28,98 +29,132 @@ class TestTensor:
         assert t.values.dtype == np.float64
 
 
+def entropy(rows):
+    """spectral_entropy of a reservoir holding exactly these rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    res = Reservoir(rows.shape[0], rows.shape[1], SeededRng(0))
+    for r in rows:
+        res.offer(r)
+    return spectral_entropy(res)
+
+
+def entropy_of(eigvals, total=None):
+    """Shannon entropy of an oracle spectrum over ``total`` (default: its sum),
+    eigenvalues below EIG_KEEP_REL of the largest dropped."""
+    lam = np.asarray(eigvals, dtype=np.float64)
+    lam = lam[lam >= EIG_KEEP_REL * lam.max()]
+    p = lam / (lam.sum() if total is None else total)
+    return float(-(p * np.log(p)).sum())
+
+
+def centered(z):
+    return z - z.mean(axis=0)
+
+
 class TestGramMatrix:
-    """The spectrum of the row Gram (1/r) Z Z^T that gram_spectrum returns,
-    checked against the Gram built by the triple-loop oracle."""
+    """The centered row Gram (1/r) Z Z^T behind spectral_entropy, checked
+    against the Gram built by the triple-loop oracle."""
 
     def test_identity(self):
-        np.testing.assert_allclose(gram_spectrum(Tensor(np.eye(2))), [0.5, 0.5])
+        # r one-hot rows: r - 1 equal eigenvalues after centering
+        h, degenerate = entropy(np.eye(4))
+        assert not degenerate and abs(h - math.log(3)) < 1e-12
 
     def test_zeros(self):
-        np.testing.assert_array_equal(gram_spectrum(Tensor(np.zeros((3, 4)))), np.zeros(3))
+        assert entropy(np.zeros((3, 4))) == (0.0, True)
 
     def test_matches_triple_loop_oracle(self):
-        # sum of squared eigenvalues = squared Frobenius norm of the Gram
         rng = SeededRng(7)
         z = rng.normals(24).reshape(4, 6)
-        vals = gram_spectrum(Tensor(z))
-        assert abs((vals ** 2).sum() - (gram_triple_loop(z) ** 2).sum()) <= 1e-12
+        want = entropy_of(np.linalg.eigvalsh(gram_triple_loop(centered(z))))
+        assert abs(entropy(z)[0] - want) <= 1e-12
 
     def test_symmetric_and_psd(self):
-        # a PSD Gram has a non-negative spectrum, returned descending
+        # a PSD Gram's normalized spectrum is a distribution over at most
+        # min(r - 1, d) nonzero eigenvalues, so 0 <= H <= ln min(r - 1, d)
         rng = SeededRng(11)
         for trial in range(10):
             z = rng.normals(5 * 7).reshape(5, 7)
-            vals = gram_spectrum(Tensor(z))
-            assert vals.min() >= 0.0
-            assert np.all(np.diff(vals) <= 0.0)
+            h, degenerate = entropy(z)
+            assert not degenerate and 0.0 <= h <= math.log(4) + 1e-12
+
+    def test_row_permutation_invariant(self):
+        rng = SeededRng(29)
+        z = rng.normals(9 * 4).reshape(9, 4)
+        perm = [3, 7, 0, 8, 1, 5, 2, 6, 4]
+        assert abs(entropy(z[perm])[0] - entropy(z)[0]) <= 1e-12
 
 
 class TestCenterRows:
+    """spectral_entropy centers the rows: a constant added to every row does
+    not change it."""
+
     def test_symmetric_pair(self):
-        out = center_rows(Tensor([[1.0], [3.0]]))
-        np.testing.assert_allclose(out.values, [[-1.0], [1.0]])
+        # rows 1 and 3 center to -1 and 1: one eigenvalue, entropy +0.0
+        assert entropy([[1.0], [3.0]]) == entropy([[-1.0], [1.0]]) == (0.0, False)
 
     def test_idempotent(self):
         rng = SeededRng(3)
-        x = Tensor(rng.normals(15).reshape(5, 3))
-        once = center_rows(x)
-        twice = center_rows(once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
+        z = rng.normals(15).reshape(5, 3)
+        assert abs(entropy(centered(z))[0] - entropy(z)[0]) <= 1e-12
 
     def test_column_sums_vanish(self):
         rng = SeededRng(5)
-        x = Tensor(rng.normals(15).reshape(5, 3))
-        out = center_rows(x)
-        assert np.max(np.abs(out.values.sum(axis=0))) < 1e-10
+        z = rng.normals(15).reshape(5, 3)
+        shift = 10.0 * rng.normals(3)
+        assert abs(entropy(z + shift)[0] - entropy(z)[0]) <= 1e-10
 
 
 class TestSymEigvals:
-    """gram_spectrum(z) as the eigenvalues of the symmetric Gram of z,
-    checked against characteristic-polynomial roots and the trace."""
+    """spectral_entropy against the entropy of the centered Gram's eigenvalues
+    from characteristic-polynomial roots and from eigvalsh."""
 
     def test_diagonal(self):
-        vals = gram_spectrum(Tensor([[2.0, 0.0], [0.0, 3.0]]))
-        np.testing.assert_allclose(vals, [4.5, 2.0])
+        z = np.diag([1.0, 2.0, 3.0])
+        want = entropy_of(charpoly_roots(gram_triple_loop(centered(z))))
+        assert abs(entropy(z)[0] - want) <= 1e-12
 
     def test_tall_and_wide(self):
-        # min(r, d) eigenvalues; the rest of an r x r Gram with r > d are zero
+        # min(r - 1, d) nonzero eigenvalues either way
         rng = SeededRng(23)
         for r, d in [(7, 3), (3, 7)]:
             z = rng.normals(r * d).reshape(r, d)
-            want = np.sort(np.linalg.eigvalsh(gram_triple_loop(z)))[::-1][: min(r, d)]
-            np.testing.assert_allclose(gram_spectrum(Tensor(z)), want, atol=1e-12)
+            want = entropy_of(np.linalg.eigvalsh(gram_triple_loop(centered(z))))
+            assert abs(entropy(z)[0] - want) <= 1e-12
 
     def test_matches_charpoly_roots_3x3(self):
         rng = SeededRng(13)
         for trial in range(20):
             z = rng.normals(15).reshape(3, 5)
-            got = gram_spectrum(Tensor(z))
-            want = charpoly_roots(gram_triple_loop(z))
-            np.testing.assert_allclose(got, want, atol=1e-8)
+            want = entropy_of(charpoly_roots(gram_triple_loop(centered(z))))
+            assert abs(entropy(z)[0] - want) <= 1e-8
 
     def test_matches_charpoly_roots_n_le_4(self):
+        # one row is a degenerate reservoir; two rows have a rank-1 spectrum
         rng = SeededRng(17)
-        for n in (1, 2, 3, 4):
+        assert entropy(rng.normals(3).reshape(1, 3)) == (0.0, True)
+        for n in (2, 3, 4):
             for trial in range(10):
                 z = rng.normals(n * (n + 2)).reshape(n, n + 2)
-                got = gram_spectrum(Tensor(z))
-                want = charpoly_roots(gram_triple_loop(z))
-                np.testing.assert_allclose(got, want, atol=1e-8)
+                want = entropy_of(charpoly_roots(gram_triple_loop(centered(z))))
+                assert abs(entropy(z)[0] - want) <= 1e-8
 
     def test_trace_identity(self):
+        # normalizing by the trace ||Z_c||_F^2 / r equals normalizing by the
+        # eigenvalue sum
         rng = SeededRng(19)
         for r, d in [(2, 2), (5, 3), (16, 16), (33, 8), (8, 33)]:
             z = rng.normals(r * d).reshape(r, d)
-            vals = gram_spectrum(Tensor(z))
-            assert abs(vals.sum() - (z * z).sum() / r) <= 1e-12 * (z * z).sum()
+            zc = centered(z)
+            want = entropy_of(np.linalg.eigvalsh(gram_triple_loop(zc)), (zc * zc).sum() / r)
+            assert abs(entropy(z)[0] - want) <= 1e-10
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError):
-            gram_spectrum(Tensor(np.eye(3)))
+            entropy(np.eye(3))
 
 
 class TestSeededRng:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import taq.model
-from taq.alloc import AllocConfig, allocate_rank
+from taq.alloc import AllocConfig, CostModel, allocate_rank
 from taq.errors import InvalidConfig, InvalidInput, ModelTooSmall
 from taq.linalg import SeededRng
 from taq.model import (
@@ -75,15 +75,46 @@ class TestConfig:
         variances = [variance_and_stability(m)[0] for m in moments]
         stats, _ = finalize_profile(entropies, flags, variances, 0.5, 0.5)
         relevance = [s.relevance for s in stats]
+        cost_model = CostModel(layer_weight_counts(cfg))
         with pytest.raises(ModelTooSmall):
-            allocate_rank(relevance)
-        assert allocate_rank(relevance, AllocConfig(edge_pin=1)).bits == [32, 16, 32]
+            allocate_rank(relevance, AllocConfig(), cost_model)
+        assert allocate_rank(relevance, AllocConfig(edge_pin=1), cost_model).bits == [32, 16, 32]
 
     @pytest.mark.parametrize("dims", [{"n_heads": 0}, {"n_heads": -4}, {"d_model": 0}],
                              ids=["no-heads", "negative-heads", "no-width"])
     def test_non_positive_dims_rejected(self, dims):
         with pytest.raises(InvalidConfig):
             ModelConfig(**dims)
+
+
+def test_numpy_integer_config_stored_as_ints():
+    cfg = ModelConfig(**{k: np.int64(v) for k, v in vars(SMALL).items()})
+    assert cfg == SMALL and all(type(v) is int for v in vars(cfg).values())
+    np.testing.assert_array_equal(init_model(cfg).params["embed.tok"],
+                                  init_model(SMALL).params["embed.tok"])
+
+
+def _copy_items(n=4):
+    return gen_task(ToyTask("copy", 1, vocab=SMALL.vocab, max_payload=4), n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ModelConfig(n_layers=2.5),
+    lambda: ModelConfig(vocab=8.5),
+    lambda: ModelConfig(seed=1.0),
+    lambda: train_toy(init_model(SMALL), _copy_items(), steps=2.5),
+    lambda: train_toy(init_model(SMALL), _copy_items(), steps=1, batch_size=2.5),
+    lambda: train_toy(init_model(SMALL), _copy_items(), steps=1, seed=0.5),
+    lambda: evaluate(init_model(SMALL), _copy_items(), max_new_tokens=2.5),
+    lambda: init_model(SMALL).with_quantized_layers({0.5: 4}, 128),
+    lambda: init_model(SMALL).with_quantized_layers({"0": 4}, 128),
+    lambda: init_model(SMALL).with_quantized_layers({0: 4}, 2.5),
+], ids=["fractional-layers", "fractional-vocab", "float-seed", "fractional-steps",
+        "fractional-batch", "fractional-train-seed", "fractional-budget",
+        "fractional-layer-key", "string-layer-key", "fractional-group-size"])
+def test_non_integer_argument_rejected(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 class TestInit:
@@ -556,7 +587,7 @@ class TestCachedDecode:
                        cfg.d_model // cfg.n_heads))
         _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)
         x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
-        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos)[:, 0]
+        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos[:, None])[:, 0]
         step = _final_logits(model, x)[0]
         for row, p in enumerate(prompts):
             full = forward(model, np.array([p + [int(nxt[row])]]))[0, -1]

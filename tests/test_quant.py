@@ -41,6 +41,12 @@ class TestFitMinmax:
             QTensor(codes=[0], scale=[1.0], zero_point=[0.0], bits=5, group_size=1,
                     rows=1, cols=1)
 
+    @pytest.mark.parametrize("bits, group_size", [(4, 2.5), (4, True), (4.0, 128), (8, "2")],
+                             ids=["fractional-group", "bool-group", "float-bits", "string-group"])
+    def test_non_integer_format_rejected(self, bits, group_size):
+        with pytest.raises(InvalidInput):
+            quantize_tensor(row([0.0, 1.0, 2.0]), bits, group_size)
+
     def test_non_finite_range_rejected(self):
         # [-1e308, 1e308]: hi - lo overflows float64 to an infinite scale
         for group in ([-1e308, 1e308], [0.0, np.nan, 1.0], [0.0, np.inf]):

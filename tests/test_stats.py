@@ -35,6 +35,13 @@ class TestReservoir:
             return res.rows()[0, 0]
         assert run() == run()
 
+    @pytest.mark.parametrize("capacity, width", [(2.5, 3), (3, 2.5), (True, 3), (3, "3")],
+                             ids=["fractional-capacity", "fractional-width", "bool-capacity",
+                                  "string-width"])
+    def test_non_integer_size_rejected(self, capacity, width):
+        with pytest.raises(InvalidInput):
+            Reservoir(capacity, width, SeededRng(0))
+
     def test_width_mismatch(self):
         res = Reservoir(2, 3, SeededRng(0))
         with pytest.raises(InvalidShape):
@@ -154,6 +161,24 @@ class TestSpectralEntropy:
     def test_identical_rows_degenerate(self):
         h, degenerate = spectral_entropy(self._fill(np.ones((5, 3))))
         assert h == 0.0 and degenerate
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 5, 7, 64])
+    @pytest.mark.parametrize("values", [[0.1, 0.7, 1.3], [-3e300, 1e-300, 0.3]],
+                             ids=["inexact-mean", "extreme"])
+    def test_equal_rows_degenerate_whatever_the_rounding(self, values, n_rows):
+        # the column mean of equal rows need not round back to the row, so the
+        # centered rows need not be exactly zero; the flag comes from the rows
+        h, degenerate = spectral_entropy(self._fill([values] * n_rows))
+        assert degenerate and h == 0.0 and math.copysign(1.0, h) == 1.0
+
+    def test_rank_one_spectrum_is_positive_zero(self):
+        a = np.array([1.0, 2.0, 0.0])
+        h, degenerate = spectral_entropy(self._fill([a, -a, 3 * a]))
+        assert not degenerate and h == 0.0 and math.copysign(1.0, h) == 1.0
+
+    def test_non_finite_rows_rejected(self):
+        with pytest.raises(InvalidInput):
+            spectral_entropy(self._fill([[0.0, 1.0], [np.nan, 2.0]]))
 
     def test_two_point_uniform_spectrum(self):
         # rows {a, -a, b, -b} with a ⊥ b and equal norms give two equal

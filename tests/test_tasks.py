@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from taq.errors import InvalidInput
@@ -85,10 +86,22 @@ class TestGenTask:
         ({"max_payload": 4.5}, 2),
         ({"seed": 1.5}, 2),
         ({"vocab": 2**63 + 1}, 2),
-    ], ids=["n", "vocab", "min_payload", "max_payload", "seed", "vocab-beyond-u64"])
+        ({}, True),
+        ({"seed": True}, 2),
+        ({"min_payload": True}, 2),
+    ], ids=["n", "vocab", "min_payload", "max_payload", "seed", "vocab-beyond-u64", "bool-n",
+            "bool-seed", "bool-min_payload"])
     def test_bad_input_rejected(self, fields, n):
         with pytest.raises(InvalidInput):
             gen_task(ToyTask(**{"id": "copy", "seed": 1, **fields}), n)
+
+    @pytest.mark.parametrize("task_id", ["copy", "modadd"])
+    def test_numpy_integer_fields_give_the_same_items(self, task_id):
+        # stored as Python ints: a numpy vocab would turn the uint64 draws to floats
+        fields = {"seed": 3, "vocab": 40, "min_payload": 2, "max_payload": 5}
+        task = ToyTask(task_id, **{k: np.int64(v) for k, v in fields.items()})
+        assert all(type(getattr(task, k)) is int for k in fields)
+        assert gen_task(task, np.int64(9)) == gen_task(ToyTask(task_id, **fields), 9)
 
     def test_bad_count(self):
         with pytest.raises(InvalidInput):
