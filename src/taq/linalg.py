@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidShape
+from .errors import InvalidInput, InvalidShape, require_int
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -62,13 +62,15 @@ class SeededRng:
     ``next_u64s(n)`` is the vector form of ``next_u64``: the same n values
     and the same stream position after them. Single-owner: one consumer at a
     time. ``derive`` creates an independent child stream from the current
-    state without advancing it.
+    state without advancing it. Seeds, counts, bounds and tags may be Python
+    or numpy integers, with the same stream from either; anything else
+    raises InvalidInput.
     """
 
     __slots__ = ("_state", "_spare")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = require_int("seed", seed) & _MASK
         self._spare: float | None = None
 
     def next_u64(self) -> int:
@@ -78,6 +80,7 @@ class SeededRng:
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo reduction; bias is negligible
         for the n used here and determinism is what matters."""
+        n = require_int("randint bound", n)
         if n <= 0:
             raise InvalidInput(f"randint bound must be positive, got {n}")
         return self.next_u64() % n
@@ -93,6 +96,7 @@ class SeededRng:
     def next_u64s(self, n: int) -> np.ndarray:
         """The next n ``next_u64`` values, as one array. uint64 array
         arithmetic wraps silently, unlike numpy scalars."""
+        n = require_int("draw count", n)
         if n < 0:
             raise InvalidInput(f"draw count must be >= 0, got {n}")
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -108,6 +112,7 @@ class SeededRng:
         stream, so any call pattern with the same total count yields the
         same values.
         """
+        n = require_int("draw count", n)
         if n < 0:
             raise InvalidInput(f"draw count must be >= 0, got {n}")
         out = np.empty(n, dtype=np.float64)
@@ -136,6 +141,7 @@ class SeededRng:
 
     def derive(self, tag: int) -> "SeededRng":
         """Independent child stream keyed by ``tag``; does not advance self."""
+        tag = require_int("derive tag", tag)
         if tag < 0:
             raise InvalidInput(f"derive tag must be >= 0, got {tag}")
         mixed = _mix64((self._state + (tag + 1) * _GAMMA) & _MASK)

@@ -147,12 +147,21 @@ def init_model(cfg: ModelConfig) -> ToyModel:
 
 
 def _layer_norm(x, g, b):
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    # np.add.reduce and a divide are what ndarray.mean runs, without its
+    # Python-level wrapper
+    d = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    istd = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= istd
+    return _affine(xhat, g, b), xhat, istd
+
+
+def _affine(xhat, g, b):
+    """LayerNorm's output from its normalized input; the backward pass rebuilds
+    it with the same two operations rather than keeping it."""
     y = xhat * g
     y += b
-    return y, xhat, istd
+    return y
 
 
 def _layer_norm_backward(dout, xhat, istd, g):
@@ -230,11 +239,11 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     # Softmax in place, with weight 0 on masked keys. Masked entries never reach
     # exp as large negatives: numpy's exp runs several times slower on inputs
     # that underflow, and about half of every causal score matrix is masked.
-    p -= p.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True, where=keep, initial=-np.inf)
     p *= keep
     np.exp(p, out=p)
     p *= keep
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     ctx = _merge_heads(p @ vh)
     x1 = _linear(ctx, w[pre + "attn.wo"])
     x1 += x
@@ -242,8 +251,8 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     m, xhat2, istd2 = _layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"])
     r = _linear(m, w[pre + "mlp.w1"])
     np.maximum(r, 0.0, out=r)
-    cache = {"a": a, "xhat1": xhat1, "istd1": istd1, "qh": qh, "kh": kh, "vh": vh,
-             "p": p, "ctx": ctx, "m": m, "xhat2": xhat2, "istd2": istd2, "r": r}
+    cache = {"xhat1": xhat1, "istd1": istd1, "qh": qh, "kh": kh, "vh": vh, "p": p,
+             "ctx": ctx, "xhat2": xhat2, "istd2": istd2, "r": r}
     x1 += _linear(r, w[pre + "mlp.w2"])
     return x1, cache
 
@@ -293,7 +302,26 @@ def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray
 
 def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     """Masked mean cross-entropy and analytic gradients for every parameter,
-    in ``model.params`` order."""
+    in ``model.params`` order.
+
+    Each block's cache holds what its backward pass reads and cannot rebuild
+    without a GEMM: the normalized LayerNorm inputs and inverse deviations,
+    the attention heads, the softmax weights, the attention context and the
+    ReLU output. The LayerNorm outputs are not kept: the backward pass
+    rebuilds each from its normalized input with ``_affine``, the two
+    operations the forward ran, so the gradients are bit for bit those of
+    keeping them. The loss path's arrays (the logits, their softmax, the
+    final LayerNorm's cache) are dropped once read, and each block's
+    backward temporaries at the end of the block.
+
+    A block's cache is dropped one block late, once the block below has its
+    gradients: those sit above it on the heap, so the freed cache is a hole
+    that the next allocations reuse. Dropped as soon as its own gradients
+    are out, it lies at the top of the heap, glibc's allocator returns that
+    top to the system, and the next step faults it back in: about 5x the
+    minor page faults of a ``train_toy`` run. ``train_toy`` keeps one step's
+    gradient dict until the next step's exists for the same reason.
+    """
     cfg = model.config
     arr = _validate_tokens(cfg, tokens)
     targets = _validate_tokens(cfg, targets)
@@ -316,17 +344,17 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
         x, cache = _block_forward(model, i, x, keep)
         caches.append(cache)
     logits, fcache = _final_logits(model, x)
+    del x
 
     b, t, vocab = logits.shape
-    zmax = logits.max(axis=-1, keepdims=True)
-    ez = np.exp(logits - zmax)
-    sez = ez.sum(axis=-1, keepdims=True)
-    logp = logits - zmax - np.log(sez)
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    loss = float(-(mask * picked).sum() / total)
+    logits -= logits.max(axis=-1, keepdims=True)
+    dlogits = np.exp(logits)
+    sez = dlogits.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1) - np.log(sez)
+    del logits
+    loss = float(-(mask * picked[..., 0]).sum() / total)
 
-    probs = ez / sez
-    dlogits = probs.copy()
+    dlogits /= sez  # the softmax
     np.add.at(dlogits.reshape(-1, vocab),
               (np.arange(b * t), targets.reshape(-1)), -1.0)
     dlogits *= (mask / total)[..., None]
@@ -347,26 +375,34 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
 
     dy = linear("unembed.w", fcache["y"], dlogits)
     dx = norm("ln_f", dy, fcache["xhatf"], fcache["istdf"])
+    del dlogits, fcache, dy
 
     for i in reversed(range(cfg.n_layers)):
         c = caches[i]
         pre = f"layer{i}."
         # MLP path
-        du = linear(pre + "mlp.w2", c["r"], dx) * (c["r"] > 0.0)
-        dm = linear(pre + "mlp.w1", c["m"], du)
+        du = linear(pre + "mlp.w2", c["r"], dx)
+        du *= c["r"] > 0.0
+        m = _affine(c["xhat2"], w[pre + "ln2.g"], w[pre + "ln2.b"])
+        dm = linear(pre + "mlp.w1", m, du)
         dx1 = norm(pre + "ln2", dm, c["xhat2"], c["istd2"]) + dx  # residual
+        del du, m, dm
 
         # attention path
         dctx_h = _split_heads(linear(pre + "attn.wo", c["ctx"], dx1), cfg.n_heads)
         dp = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
         dvh = c["p"].transpose(0, 1, 3, 2) @ dctx_h
-        dscores = c["p"] * (dp - (dp * c["p"]).sum(axis=-1, keepdims=True))
-        dqh = dscores @ c["kh"] * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
-        da = linear(pre + "attn.wq", c["a"], _merge_heads(dqh)) + \
-            linear(pre + "attn.wk", c["a"], _merge_heads(dkh)) + \
-            linear(pre + "attn.wv", c["a"], _merge_heads(dvh))
+        dp -= (dp * c["p"]).sum(axis=-1, keepdims=True)
+        dp *= c["p"]  # d(scores)
+        dqh = dp @ c["kh"] * scale
+        dkh = dp.transpose(0, 1, 3, 2) @ c["qh"] * scale
+        a = _affine(c["xhat1"], w[pre + "ln1.g"], w[pre + "ln1.b"])
+        da = linear(pre + "attn.wq", a, _merge_heads(dqh)) + \
+            linear(pre + "attn.wk", a, _merge_heads(dkh)) + \
+            linear(pre + "attn.wv", a, _merge_heads(dvh))
+        del a, dctx_h, dp, dqh, dkh, dvh
         dx = norm(pre + "ln1", da, c["xhat1"], c["istd1"]) + dx1  # residual
+        del caches[i + 1:]  # the block above, once this one's gradients sit over it
 
     grads["embed.tok"] = np.zeros_like(w["embed.tok"])
     np.add.at(grads["embed.tok"], arr.reshape(-1), dx.reshape(-1, cfg.d_model))
@@ -418,12 +454,13 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
         raise InvalidInput("training needs at least one item")
     if any(len(prompt) == 0 for prompt, _ in items):
         raise InvalidInput("every training item needs a prompt of at least one token")
-    rng = SeededRng(require_int("seed", seed)).derive(_TRAIN_TAG)
+    rng = SeededRng(seed).derive(_TRAIN_TAG)
     window = max(1, min(100, steps // 10))
     losses: list[float] = []
     for step in range(steps):
         idx = rng.randints(np.full(batch_size, len(items))).tolist()
         tokens, targets, mask = _training_batch(items, idx)
+        # rebinds grads only once the new dict exists; see loss_and_grads
         loss, grads = loss_and_grads(model, tokens, targets, mask)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss} at step {step}")

@@ -20,6 +20,7 @@ from .linalg import SeededRng
 
 DEFAULT_RESERVOIR_CAPACITY = 256
 _DRAW_BLOCK = 1024
+_F64 = np.dtype(np.float64)
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.5
 
@@ -50,6 +51,7 @@ class Reservoir:
         self.rng = rng
         self.seen = 0
         self._buf = np.empty((capacity, width), dtype=np.float64)
+        self._row_shape = (width,)
         self._count = 0
         self._slots: list[int] = []  # drawn slots of the coming offers, the next one last
 
@@ -57,9 +59,14 @@ class Reservoir:
         return self._count
 
     def offer(self, v) -> None:
-        vec = np.asarray(v, dtype=np.float64).reshape(-1)
-        if vec.size != self.width:
-            raise InvalidShape(f"expected width {self.width}, got {vec.size}")
+        """Offer one vector of ``width`` values: a float64 row as it stands,
+        anything else (a list, a (1, width) array, float32) after conversion."""
+        if type(v) is np.ndarray and v.dtype is _F64 and v.shape == self._row_shape:
+            vec = v
+        else:
+            vec = np.asarray(v, dtype=np.float64).reshape(-1)
+            if vec.size != self.width:
+                raise InvalidShape(f"expected width {self.width}, got {vec.size}")
         self.seen += 1
         if self._count < self.capacity:
             self._buf[self._count] = vec

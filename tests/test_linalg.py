@@ -206,6 +206,23 @@ class TestSeededRng:
         assert rng.next_u64s(k).tolist() == [loop.next_u64() for _ in range(k)]
         assert rng.next_u64() == loop.next_u64()
 
+    # each entry point that takes an integer: numpy integers give the stream
+    # Python ints give, and a float or a bool raises InvalidInput
+    @pytest.mark.parametrize("draw", [
+        lambda make, k: SeededRng(make(k)).normals(3),
+        lambda make, k: SeededRng(3).next_u64s(make(k)),
+        lambda make, k: SeededRng(3).randint(make(k)),
+        lambda make, k: SeededRng(3).derive(make(k)).normals(3),
+        lambda make, k: SeededRng(3).normals(make(k)),
+    ], ids=["seed", "next_u64s", "randint", "derive", "normals"])
+    def test_integer_arguments(self, draw):
+        want = draw(int, 5)
+        for make in (np.int64, np.uint8, np.int32):
+            assert np.array_equal(draw(make, 5), want)
+        for bad in (lambda k: k + 0.5, lambda k: float(k), lambda k: True):
+            with pytest.raises(InvalidInput):
+                draw(bad, 5)
+
     def test_next_u64s_negative_count_rejected(self):
         with pytest.raises(InvalidInput):
             SeededRng(1).next_u64s(-1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,21 @@ class TestGradients:
     def test_bad_targets_or_mask_rejected(self, targets, mask):
         with pytest.raises(InvalidInput):
             loss_and_grads(init_model(SMALL), [[1, 2]], targets, mask)
+
+    def test_traced_peak(self):
+        # each block's cache is freed as its gradients come out and its
+        # LayerNorm outputs are rebuilt: one call on the default config with
+        # 16 rows of 20 tokens peaks near 16 MiB, against 24.5 MiB when every
+        # activation lived until the call returned
+        model = init_model(ModelConfig())
+        tokens, targets, mask = small_batch(model.config, batch=16, seq=20)
+        tracemalloc.start()
+        try:
+            loss_and_grads(model, tokens, targets, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
     def test_finite_difference_agreement(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)

@@ -47,6 +47,32 @@ class TestReservoir:
         with pytest.raises(InvalidShape):
             res.offer([1.0, 2.0])
 
+    @pytest.mark.parametrize("row", [np.zeros(2), np.zeros((1, 2)), np.zeros(4)],
+                             ids=["short", "short-2d", "long"])
+    def test_width_mismatch_array(self, row):
+        res = Reservoir(2, 3, SeededRng(0))
+        with pytest.raises(InvalidShape):
+            res.offer(row)
+        assert res.seen == 0
+
+    def test_other_row_forms_stored_as_float64(self):
+        # float64 rows skip conversion; lists, (1, width) arrays and float32
+        # rows are converted as before
+        forms = [[1.0, 2.0, 3.0], np.array([[4.0, 5.0, 6.0]]), np.array([7, 8, 9], np.float32),
+                 np.arange(10.0, 13.0), np.arange(13.0, 19.0)[::2]]
+        res = Reservoir(len(forms), 3, SeededRng(0))
+        for row in forms:
+            res.offer(row)
+        assert res.rows().tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12],
+                                       [13, 15, 17]]
+
+    def test_kept_row_is_a_copy(self):
+        row = np.ones(3)
+        res = Reservoir(1, 3, SeededRng(0))
+        res.offer(row)
+        row[:] = 5.0
+        assert res.rows().tolist() == [[1.0, 1.0, 1.0]]
+
     @pytest.mark.parametrize("stream", [0, 1, 16, 17, _DRAW_BLOCK - 1, _DRAW_BLOCK,
                                         _DRAW_BLOCK + 1, 16 + _DRAW_BLOCK - 1,
                                         16 + _DRAW_BLOCK, 16 + _DRAW_BLOCK + 1, 5000])
