@@ -146,14 +146,18 @@ def init_model(cfg: ModelConfig) -> ToyModel:
     return ToyModel(cfg, params)
 
 
-def _layer_norm(x, g, b):
+def _layer_norm(x, g, b, cache=None, tag=""):
+    """LayerNorm over the last axis. Given ``cache``, it stores the normalized
+    input and inverse deviation there as ``xhat<tag>`` and ``istd<tag>``."""
     # np.add.reduce and a divide are what ndarray.mean runs, without its
     # Python-level wrapper
     d = x.shape[-1]
     xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     istd = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= istd
-    return _affine(xhat, g, b), xhat, istd
+    if cache is not None:
+        cache["xhat" + tag], cache["istd" + tag] = xhat, istd
+    return _affine(xhat, g, b)
 
 
 def _affine(xhat, g, b):
@@ -214,22 +218,29 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=None):
-    """One block over x (batch, t, d_model): its output and the activations
-    the backward pass reads. ``keep`` is ``_attention_mask(pos)``; without
-    ``kv`` the t queries attend over their own t keys. Given the block's
-    cache ``kv``, (2, batch, n_heads, n_pos, d_head), the block writes its
-    keys and values at each row's ``pos`` (batch or 1, t) and attends over
-    the first ``keep.shape[-1]`` slots: prefill and decode step alike."""
+def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=None,
+                   cache=None) -> np.ndarray:
+    """One block over x (batch, t, d_model): its output. ``keep`` is
+    ``_attention_mask(pos)``; without ``kv`` the t queries attend over their
+    own t keys. Given the block's cache ``kv``, (2, batch, n_heads, n_pos,
+    d_head), the block writes its keys and values at each row's ``pos``
+    (batch or 1, t) and attends over the first ``keep.shape[-1]`` slots:
+    prefill and decode step alike.
+
+    Only ``loss_and_grads`` passes ``cache``, a dict the block fills with the
+    activations its backward pass reads. Without it every intermediate is
+    dropped once its last reader is done, so inference holds only what the
+    next operation reads."""
     cfg = model.config
     w = model.params
     pre = f"layer{i}."
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
-    a, xhat1, istd1 = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"])
+    a = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"], cache, "1")
     qh = _split_heads(_linear(a, w[pre + "attn.wq"]), cfg.n_heads)
     kh = _split_heads(_linear(a, w[pre + "attn.wk"]), cfg.n_heads)
     vh = _split_heads(_linear(a, w[pre + "attn.wv"]), cfg.n_heads)
+    del a
     if kv is not None:
         slots = (np.arange(len(x))[:, None], slice(None), pos)  # (batch, t, n_heads, d_head)
         kv[0][slots], kv[1][slots] = kh.transpose(0, 2, 1, 3), vh.transpose(0, 2, 1, 3)
@@ -245,21 +256,30 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     p *= keep
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     ctx = _merge_heads(p @ vh)
+    if cache is not None:
+        cache.update(qh=qh, kh=kh, vh=vh, p=p, ctx=ctx)
+    del qh, kh, vh, p
     x1 = _linear(ctx, w[pre + "attn.wo"])
+    del ctx
     x1 += x
 
-    m, xhat2, istd2 = _layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"])
+    m = _layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"], cache, "2")
     r = _linear(m, w[pre + "mlp.w1"])
+    del m
     np.maximum(r, 0.0, out=r)
-    cache = {"xhat1": xhat1, "istd1": istd1, "qh": qh, "kh": kh, "vh": vh, "p": p,
-             "ctx": ctx, "xhat2": xhat2, "istd2": istd2, "r": r}
+    if cache is not None:
+        cache["r"] = r
     x1 += _linear(r, w[pre + "mlp.w2"])
-    return x1, cache
+    return x1
 
 
-def _final_logits(model: ToyModel, x: np.ndarray):
-    y, xhatf, istdf = _layer_norm(x, model.params["ln_f.g"], model.params["ln_f.b"])
-    return _linear(y, model.params["unembed.w"]), {"y": y, "xhatf": xhatf, "istdf": istdf}
+def _final_logits(model: ToyModel, x: np.ndarray, cache=None) -> np.ndarray:
+    """Logits from the last block's output; ``cache``, as in ``_block_forward``,
+    receives what the backward pass reads."""
+    y = _layer_norm(x, model.params["ln_f.g"], model.params["ln_f.b"], cache, "f")
+    if cache is not None:
+        cache["y"] = y
+    return _linear(y, model.params["unembed.w"])
 
 
 def embed(model: ToyModel, tokens) -> np.ndarray:
@@ -270,12 +290,11 @@ def embed(model: ToyModel, tokens) -> np.ndarray:
 def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
             kv=None, pos=None) -> np.ndarray:
     """Blocks [start, stop) over x at positions ``pos`` (batch or 1, t),
-    by default [0, t) for every row; ``kv`` holds every block's cache."""
+    by default [0, t) for every row; ``kv[i]`` is block i's key/value cache."""
     pos = np.arange(x.shape[1])[None] if pos is None else pos
     keep = _attention_mask(pos)
     for i in range(start, stop):
-        # [0]: binding the cache to a name would keep it alive through the next block
-        x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos)[0]
+        x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos)
         if capture is not None:
             capture(i, x)
     return x
@@ -286,7 +305,7 @@ def forward(model: ToyModel, tokens, capture=None) -> np.ndarray:
     called with each block's post-residual activations and never affects the
     result."""
     x = _blocks(model, embed(model, tokens), 0, model.config.n_layers, capture)
-    return _final_logits(model, x)[0]
+    return _final_logits(model, x)
 
 
 def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
@@ -297,13 +316,16 @@ def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
 def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray:
     """Logits from a cached hidden state entering block ``start_layer``."""
     x = _blocks(model, x, start_layer, model.config.n_layers)
-    return _final_logits(model, x)[0]
+    return _final_logits(model, x)
 
 
 def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     """Masked mean cross-entropy and analytic gradients for every parameter,
     in ``model.params`` order.
 
+    This is the one caller that passes ``cache`` to ``_block_forward`` and
+    ``_final_logits``, one dict per block and one for the loss path; every
+    inference path passes none and keeps no activation it will not read.
     Each block's cache holds what its backward pass reads and cannot rebuild
     without a GEMM: the normalized LayerNorm inputs and inverse deviations,
     the attention heads, the softmax weights, the attention context and the
@@ -341,9 +363,10 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     keep = _attention_mask(np.arange(arr.shape[1])[None])
     caches = []
     for i in range(cfg.n_layers):
-        x, cache = _block_forward(model, i, x, keep)
-        caches.append(cache)
-    logits, fcache = _final_logits(model, x)
+        caches.append({})
+        x = _block_forward(model, i, x, keep, cache=caches[-1])
+    fcache = {}
+    logits = _final_logits(model, x, fcache)
     del x
 
     b, t, vocab = logits.shape
@@ -505,16 +528,16 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     cfg = model.config
     active = np.arange(len(prompts))
     pos = np.array([len(p) - 1 for p in prompts])  # each row's newest token
-    # (layer, key/value, row, head, position, d_head) up to the last position
-    # decoding can reach; zeroed, so a masked slot is finite and gets exactly
-    # zero weight
+    # one cache per layer, (key/value, row, head, position, d_head) up to the
+    # last position decoding can reach; zeroed, so a masked slot is finite and
+    # gets exactly zero weight. Rows leave one layer's cache at a time, so the
+    # compaction holds the cache plus one layer's copy, not two caches.
     reach = min(cfg.max_seq, max(map(len, prompts)) + max_new_tokens - 1)
-    kv = np.zeros((cfg.n_layers, 2, len(prompts), cfg.n_heads, reach,
-                   cfg.d_model // cfg.n_heads))
+    kv = [np.zeros((2, len(prompts), cfg.n_heads, reach, cfg.d_model // cfg.n_heads))
+          for _ in range(cfg.n_layers)]
     x = _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)[active, pos]
     for step in range(max_new_tokens):
-        logits = _final_logits(model, x)[0]
-        nxt = logits.argmax(axis=-1)
+        nxt = _final_logits(model, x).argmax(axis=-1)
         for i, tok in zip(active[nxt != EOS], nxt[nxt != EOS]):
             preds[i].append(int(tok))
         keep = (nxt != EOS) & (pos + 2 < cfg.max_seq)
@@ -522,7 +545,8 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
             break
         if not keep.all():
             active, nxt, pos = active[keep], nxt[keep], pos[keep]
-            kv = kv[:, :, keep]
+            for i in range(cfg.n_layers):
+                kv[i] = kv[i][:, keep]
         pos = pos + 1
         x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
         x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos[:, None])[:, 0]

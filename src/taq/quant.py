@@ -5,7 +5,9 @@ may be short). Each group gets its own scale/zero-point fitted from its
 min/max range. A ``QTensor`` holds the codes, one scale and zero-point per
 group, and the dequantized weights, computed once at construction, that
 execution uses (dequantize-then-multiply model). Codes are integers in
-[0, 2^bits - 1].
+[0, 2^bits - 1], stored in the narrowest unsigned type that holds them,
+``np.min_scalar_type(2**bits - 1)``: one byte per code at 4 and 8 bits
+(uint8), two at 16 (uint16).
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ class QTensor:
     [g * group_size, (g+1) * group_size) and dequantizes as
     ``codes * scale[g] + zero_point[g]``. ``weights`` is that dequantization,
     shaped ``rows x cols``.
+
+    ``codes`` may be given as any integer array or sequence. It is checked
+    against [0, 2^bits - 1] as given and only then cast to its stored type,
+    uint8 for 4 and 8 bits and uint16 for 16, so no code wraps on the way in.
+    Fractional, bool and non-numeric codes are refused, as are non-finite
+    scales and zero-points.
     """
 
     codes: np.ndarray
@@ -61,22 +69,33 @@ class QTensor:
 
     def __post_init__(self):
         _check_format(self.bits, self.group_size)
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        self.scale = np.asarray(self.scale, dtype=np.float64)
-        self.zero_point = np.asarray(self.zero_point, dtype=np.float64)
+        try:
+            codes = np.asarray(self.codes)
+            self.scale = np.asarray(self.scale, dtype=np.float64)
+            self.zero_point = np.asarray(self.zero_point, dtype=np.float64)
+        except (TypeError, ValueError) as err:  # ragged nesting or non-numbers
+            raise InvalidInput(f"codes, scales and zero-points must be arrays of numbers: "
+                               f"{err}") from None
+        # an empty list arrives as float64 and is refused by the shape check
+        if codes.size and codes.dtype.kind not in "iu":
+            raise InvalidInput("codes must be integers within 64 bits, got dtype "
+                               f"{codes.dtype}")
         n = self.rows * self.cols
         n_groups = math.ceil(n / self.group_size)
-        if (self.rows < 1 or self.cols < 1 or self.codes.shape != (n,)
+        if (self.rows < 1 or self.cols < 1 or codes.shape != (n,)
                 or self.scale.shape != (n_groups,) or self.zero_point.shape != (n_groups,)):
             raise InvalidShape(
                 f"{self.rows}x{self.cols} in groups of {self.group_size} needs {n} codes "
-                f"and {n_groups} scales and zero-points, got {self.codes.shape}, "
+                f"and {n_groups} scales and zero-points, got {codes.shape}, "
                 f"{self.scale.shape} and {self.zero_point.shape}")
-        if not np.all(self.scale > 0.0):
-            raise InvalidInput("every scale must be positive")
+        if not np.all((self.scale > 0.0) & np.isfinite(self.scale)):
+            raise InvalidInput("every scale must be finite and positive")
+        if not np.isfinite(self.zero_point).all():
+            raise InvalidInput("every zero-point must be finite")
         max_code = (1 << self.bits) - 1
-        if self.codes.min() < 0 or self.codes.max() > max_code:
+        if codes.min() < 0 or codes.max() > max_code:
             raise CorruptCodes(f"codes outside [0, {max_code}] for bits={self.bits}")
+        self.codes = codes.astype(np.min_scalar_type(max_code), copy=False)
         scale = _per_element(self.scale, self.group_size, n)
         zero = _per_element(self.zero_point, self.group_size, n)
         self.weights = (self.codes.astype(np.float64) * scale + zero).reshape(self.rows, self.cols)
@@ -104,13 +123,13 @@ def quantize_tensor(w: Tensor, bits: int, group_size: int = DEFAULT_GROUP_SIZE) 
     max_code = (1 << bits) - 1
     scale = np.maximum(span / max_code, SCALE_FLOOR)
     t = (flat - _per_element(lo, group_size, flat.size)) / _per_element(scale, group_size, flat.size)
-    codes = np.clip(_round_half_away(t), 0, max_code).astype(np.int64)
+    codes = np.clip(_round_half_away(t), 0, max_code).astype(np.min_scalar_type(max_code))
     return QTensor(codes=codes, scale=scale, zero_point=lo, bits=bits,
                    group_size=group_size, rows=w.rows, cols=w.cols)
 
 
 def quant_error(w: Tensor, q: QTensor) -> dict:
-    """Element-wise max |delta| and relative Frobenius error of a quantization."""
+    """Relative Frobenius error of a quantization: ||w - q.weights|| / ||w||."""
     if (w.rows, w.cols) != (q.rows, q.cols):
         raise InvalidShape(
             f"shape mismatch: tensor {w.rows}x{w.cols} vs qtensor {q.rows}x{q.cols}")
@@ -121,4 +140,4 @@ def quant_error(w: Tensor, q: QTensor) -> dict:
         frob_rel = 0.0 if num == 0.0 else math.inf
     else:
         frob_rel = num / denom
-    return {"max_abs": float(np.max(np.abs(delta))), "frobenius_rel": frob_rel}
+    return {"frobenius_rel": frob_rel}

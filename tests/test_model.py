@@ -1,4 +1,5 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,20 @@ from taq.tasks import EOS, SEP, ToyTask, gen_task, full_sequence
 from oracles import forward_reference, greedy_decode_recompute
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
+# the benchmark's committed default-config checkpoint: a model whose decoded
+# rows end at different steps
+CHECKPOINT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "weights" / "toy_default.npz"
+MIB = 2**20
+
+
+def traced_peak(call) -> int:
+    """Peak bytes numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def small_batch(cfg, rng_seed=3, batch=2, seq=6):
@@ -174,8 +189,15 @@ class TestForward:
         full = forward(model, tokens)
         for split in (0, 2, SMALL.n_layers):
             h = forward_prefix(model, tokens, split)
-            np.testing.assert_allclose(forward_from(model, h, split), full,
-                                       atol=1e-12)
+            np.testing.assert_array_equal(forward_from(model, h, split), full)
+
+    def test_traced_peak(self):
+        # inference keeps no training cache and drops each intermediate once
+        # read: one default-config forward over 64 rows of 11 tokens peaks near
+        # 2.4 MiB, against 5.4 MiB when every block built the backward's cache
+        model = init_model(ModelConfig())
+        tokens = small_batch(model.config, batch=64, seq=11)[0]
+        assert traced_peak(lambda: forward(model, tokens)) <= 3.5 * MIB
 
     def test_overlength_rejected(self):
         model = init_model(SMALL)
@@ -326,13 +348,7 @@ class TestGradients:
         # activation lived until the call returned
         model = init_model(ModelConfig())
         tokens, targets, mask = small_batch(model.config, batch=16, seq=20)
-        tracemalloc.start()
-        try:
-            loss_and_grads(model, tokens, targets, mask)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * 2**20
+        assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 20 * MIB
 
     def test_finite_difference_agreement(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)
@@ -503,6 +519,18 @@ class TestEvaluate:
         b = evaluate(model, items, max_new_tokens=6)
         assert (a.exact_match, a.token_f1) == (b.exact_match, b.token_f1)
 
+    def test_traced_peak(self):
+        # 16 copy items on the trained checkpoint, every layer at 4 bits: rows
+        # end at different steps, and each leaves the key/value cache one layer
+        # at a time. The call peaks near 3.9 MiB, against 6.1 MiB when the
+        # whole cache was copied at once and every block kept a training cache.
+        cfg = ModelConfig()
+        with np.load(CHECKPOINT) as npz:
+            model = ToyModel(cfg, {name: npz[name] for name, _ in param_shapes(cfg)})
+        qm = model.with_quantized_layers(dict.fromkeys(range(cfg.n_layers), 4), 128)
+        items = gen_task(ToyTask("copy", 1), 16)
+        assert traced_peak(lambda: evaluate(qm, items)) <= 4.5 * MIB
+
 
 class TestGreedyDecode:
     def test_max_seq_prompt_batched_with_short_one(self):
@@ -599,12 +627,12 @@ class TestCachedDecode:
         prompts = [p[: cfg.max_seq - 1] for p in prompts]
         nxt = np.array([(7 * i + 3) % cfg.vocab for i in range(len(prompts))])
         pos = np.array([len(p) for p in prompts])
-        kv = np.zeros((cfg.n_layers, 2, len(prompts), cfg.n_heads, cfg.max_seq,
-                       cfg.d_model // cfg.n_heads))
+        kv = [np.zeros((2, len(prompts), cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads))
+              for _ in range(cfg.n_layers)]
         _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)
         x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
         x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos[:, None])[:, 0]
-        step = _final_logits(model, x)[0]
+        step = _final_logits(model, x)
         for row, p in enumerate(prompts):
             full = forward(model, np.array([p + [int(nxt[row])]]))[0, -1]
             rel = np.abs(step[row] - full).max() / np.abs(full).max()

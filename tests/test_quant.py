@@ -85,9 +85,11 @@ class TestQuantizeGroup:
         assert qt.codes.tolist() == [0, 1, 2, 3, 15]
 
     def test_corrupt_codes_rejected(self):
-        for bad in (16, -1):
+        # checked as given: cast to uint8 first, 256 and 2**64 - 1 would wrap
+        for bad in ([0, 16], [0, -1], np.array([0, 256], np.uint16),
+                    np.array([0, 2**64 - 1], np.uint64)):
             with pytest.raises(CorruptCodes):
-                QTensor(codes=[0, bad], scale=[1.0], zero_point=[0.0], bits=4,
+                QTensor(codes=bad, scale=[1.0], zero_point=[0.0], bits=4,
                         group_size=2, rows=1, cols=2)
 
 
@@ -106,6 +108,39 @@ class TestQTensor:
             with pytest.raises(InvalidInput):
                 QTensor(codes=[0], scale=[scale], zero_point=[0.0], bits=8, group_size=1,
                         rows=1, cols=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("codes", [1.5, 2.9]),
+        ("codes", [True, False]),
+        ("codes", [2**70, 1]),
+        ("codes", ["a", "b"]),
+        ("codes", [[1], [1, 2]]),
+        ("scale", [np.inf]),
+        ("scale", ["a"]),
+        ("zero_point", [np.inf]),
+        ("zero_point", [np.nan]),
+    ], ids=["fractional-codes", "bool-codes", "codes-beyond-int64", "string-codes",
+            "ragged-codes", "inf-scale", "string-scale", "inf-zero-point", "nan-zero-point"])
+    def test_bad_inputs_rejected(self, field, value):
+        # fractional codes used to be truncated, an infinite zero-point gave
+        # infinite weights, and huge or non-numeric codes raised bare numpy errors
+        ok = dict(codes=[1, 2], scale=[1.0], zero_point=[0.0], bits=4, group_size=2,
+                  rows=1, cols=2)
+        QTensor(**ok)
+        with pytest.raises(InvalidInput):
+            QTensor(**{**ok, field: value})
+
+    @pytest.mark.parametrize("bits, dtype", [(4, np.uint8), (8, np.uint8), (16, np.uint16)])
+    def test_codes_stored_narrow(self, bits, dtype):
+        # one byte per code at 4 and 8 bits, two at 16, whether fitted or given
+        w = Tensor(SeededRng(61).normals(5 * 7).reshape(5, 7))
+        qt = quantize_tensor(w, bits, group_size=4)
+        given = QTensor(codes=qt.codes.astype(np.int64), scale=qt.scale,
+                        zero_point=qt.zero_point, bits=bits, group_size=4, rows=5, cols=7)
+        for q in (qt, given):
+            assert q.codes.dtype == dtype
+            assert q.codes.nbytes == np.dtype(dtype).itemsize * 5 * 7
+        np.testing.assert_array_equal(given.weights, qt.weights)
 
     @pytest.mark.parametrize("bits", [4, 8, 16])
     @pytest.mark.parametrize("group_size", [1, 7, 128, 500])
@@ -161,14 +196,12 @@ class TestQuantError:
         p_scale, p_zero = 0.5, -2.0
         vals = (p_zero + p_scale * np.arange(16, dtype=np.float64)).reshape(4, 4)
         qt = quantize_tensor(Tensor(vals), bits=4, group_size=16)
-        err = quant_error(Tensor(vals), qt)
-        assert err["max_abs"] <= 1e-12
-        assert err["frobenius_rel"] <= 1e-12
+        assert np.abs(vals - qt.weights).max() <= 1e-12
+        assert quant_error(Tensor(vals), qt)["frobenius_rel"] <= 1e-12
 
     def test_constant_tensor(self):
         w = Tensor(np.full((5, 5), 2.5))
-        err = quant_error(w, quantize_tensor(w, bits=4))
-        assert err["max_abs"] <= 1e-12
+        assert np.abs(w.values - quantize_tensor(w, bits=4).weights).max() <= 1e-12
 
     def test_more_bits_less_error(self):
         rng = SeededRng(43)

@@ -93,10 +93,12 @@ class TestReservoir:
         capacity, stream, trials = 16, 2000, 3000
         counts = np.zeros(stream)
         rng = SeededRng(2024)
+        # float64 rows of width 1, offered as they stand
+        rows = np.arange(stream, dtype=float).reshape(-1, 1)
         for t in range(trials):
             res = Reservoir(capacity, 1, rng.derive(t))
-            for i in range(stream):
-                res.offer([float(i)])
+            for row in rows:
+                res.offer(row)
             for tag in res.rows()[:, 0]:
                 counts[int(tag)] += 1
         p = capacity / stream
