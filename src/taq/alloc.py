@@ -48,7 +48,6 @@ class BitPlan:
     bits: list[int]
     pinned: frozenset[int]
     cost: int
-    source: str = ""
 
     @property
     def n_layers(self) -> int:
@@ -114,7 +113,7 @@ def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan
         raise BudgetInfeasible(
             f"rank plan costs {cost} weight-bits, budget is {cfg.budget}",
             achieved_cost=cost, budget=cfg.budget)
-    return BitPlan(bits=bits, pinned=pinned, cost=cost, source="taq")
+    return BitPlan(bits=bits, pinned=pinned, cost=cost)
 
 
 def uniform_plan(n_layers: int, bits: int, cost_model: CostModel) -> BitPlan:
@@ -124,8 +123,7 @@ def uniform_plan(n_layers: int, bits: int, cost_model: CostModel) -> BitPlan:
     if require_int("bits", bits) not in ADMISSIBLE_BITS:
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
     plan_bits = [bits] * n_layers
-    return BitPlan(bits=plan_bits, pinned=frozenset(), cost=cost_model.cost(plan_bits),
-                   source=f"uniform:{bits}")
+    return BitPlan(bits=plan_bits, pinned=frozenset(), cost=cost_model.cost(plan_bits))
 
 
 def check_monotone(plan: BitPlan, relevance) -> bool:

@@ -77,17 +77,10 @@ class SeededRng:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix64(self._state)
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n). Modulo reduction; bias is negligible
-        for the n used here and determinism is what matters."""
-        n = require_int("randint bound", n)
-        if n <= 0:
-            raise InvalidInput(f"randint bound must be positive, got {n}")
-        return self.next_u64() % n
-
     def randints(self, bounds) -> np.ndarray:
-        """One uniform integer in [0, b) per bound b: the values, and the
-        stream position after them, of one ``randint`` call per bound."""
+        """One uniform integer in [0, b) per bound b, ``next_u64() % b``: one
+        draw per bound, in order. Modulo reduction; its bias is negligible
+        for the bounds used here, and determinism is what matters."""
         b = np.asarray(bounds)
         if b.ndim != 1 or (b.size and (b.dtype.kind not in "iu" or b.min() <= 0)):
             raise InvalidInput("randints bounds must be a 1-D vector of positive integers")

@@ -91,8 +91,7 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
 def quantizable_names(cfg: ModelConfig, layer: int) -> list[str]:
     """The 2-D attention and MLP weight matrices of one block. LayerNorm
     parameters, embeddings, and the unembedding stay full precision."""
-    return [f"layer{layer}.attn.{w}" for w in ("wq", "wk", "wv", "wo")] + \
-           [f"layer{layer}.mlp.{w}" for w in ("w1", "w2")]
+    return [name for name, _ in _layer_param_shapes(cfg, layer) if not name.endswith((".g", ".b"))]
 
 
 def layer_weight_counts(cfg: ModelConfig) -> tuple[int, ...]:
@@ -276,25 +275,28 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
 def _final_logits(model: ToyModel, x: np.ndarray, cache=None) -> np.ndarray:
     """Logits from the last block's output; ``cache``, as in ``_block_forward``,
     receives what the backward pass reads."""
-    y = _layer_norm(x, model.params["ln_f.g"], model.params["ln_f.b"], cache, "f")
-    if cache is not None:
-        cache["y"] = y
-    return _linear(y, model.params["unembed.w"])
+    w = model.params
+    return _linear(_layer_norm(x, w["ln_f.g"], w["ln_f.b"], cache, "f"), w["unembed.w"])
 
 
-def embed(model: ToyModel, tokens) -> np.ndarray:
+def embed(model: ToyModel, tokens, pos=None) -> np.ndarray:
+    """Token plus positional embeddings of ``tokens`` at positions ``pos``
+    (batch or 1, t), by default [0, t) for every row."""
     arr = _validate_tokens(model.config, tokens)
-    return model.params["embed.tok"][arr] + model.params["embed.pos"][: arr.shape[1]]
+    pos = slice(arr.shape[1]) if pos is None else pos
+    return model.params["embed.tok"][arr] + model.params["embed.pos"][pos]
 
 
 def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
-            kv=None, pos=None) -> np.ndarray:
+            kv=None, pos=None, caches=None) -> np.ndarray:
     """Blocks [start, stop) over x at positions ``pos`` (batch or 1, t),
-    by default [0, t) for every row; ``kv[i]`` is block i's key/value cache."""
+    by default [0, t) for every row; ``kv[i]`` is block i's key/value cache
+    and ``caches[i]`` the dict block i fills for its backward pass."""
     pos = np.arange(x.shape[1])[None] if pos is None else pos
     keep = _attention_mask(pos)
     for i in range(start, stop):
-        x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos)
+        x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos,
+                           None if caches is None else caches[i])
         if capture is not None:
             capture(i, x)
     return x
@@ -323,7 +325,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     """Masked mean cross-entropy and analytic gradients for every parameter,
     in ``model.params`` order.
 
-    This is the one caller that passes ``cache`` to ``_block_forward`` and
+    This is the one caller that passes backward caches to ``_blocks`` and
     ``_final_logits``, one dict per block and one for the loss path; every
     inference path passes none and keeps no activation it will not read.
     Each block's cache holds what its backward pass reads and cannot rebuild
@@ -358,16 +360,10 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     if not (math.isfinite(total) and total > 0):
         raise InvalidInput(f"loss mask must be finite and select positions; it sums to {total}")
 
-    w = model.params
-    x = w["embed.tok"][arr] + w["embed.pos"][: arr.shape[1]]
-    keep = _attention_mask(np.arange(arr.shape[1])[None])
-    caches = []
-    for i in range(cfg.n_layers):
-        caches.append({})
-        x = _block_forward(model, i, x, keep, cache=caches[-1])
+    caches = [{} for _ in range(cfg.n_layers)]
     fcache = {}
-    logits = _final_logits(model, x, fcache)
-    del x
+    logits = _final_logits(model, _blocks(model, embed(model, arr), 0, cfg.n_layers,
+                                          caches=caches), fcache)
 
     b, t, vocab = logits.shape
     logits -= logits.max(axis=-1, keepdims=True)
@@ -382,6 +378,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
               (np.arange(b * t), targets.reshape(-1)), -1.0)
     dlogits *= (mask / total)[..., None]
 
+    w = model.params
     grads = dict.fromkeys(w)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
@@ -396,9 +393,10 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
             dout, xhat, istd, w[prefix + ".g"])
         return dx
 
-    dy = linear("unembed.w", fcache["y"], dlogits)
+    y = _affine(fcache["xhatf"], w["ln_f.g"], w["ln_f.b"])
+    dy = linear("unembed.w", y, dlogits)
     dx = norm("ln_f", dy, fcache["xhatf"], fcache["istdf"])
-    del dlogits, fcache, dy
+    del dlogits, fcache, y, dy
 
     for i in reversed(range(cfg.n_layers)):
         c = caches[i]
@@ -548,8 +546,8 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
             for i in range(cfg.n_layers):
                 kv[i] = kv[i][:, keep]
         pos = pos + 1
-        x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
-        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos[:, None])[:, 0]
+        x = _blocks(model, embed(model, nxt[:, None], pos[:, None]), 0, cfg.n_layers,
+                    kv=kv, pos=pos[:, None])[:, 0]
     return preds
 
 

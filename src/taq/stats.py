@@ -38,7 +38,8 @@ class Reservoir:
     the j-th offer survives with probability capacity/j. Single-writer.
 
     It owns ``rng`` and draws ahead: one ``randints`` call gives the next
-    ``_DRAW_BLOCK`` offers the slots that one ``randint`` each would give.
+    ``_DRAW_BLOCK`` offers their slots, the values and stream position of one
+    ``next_u64() % seen`` draw per offer.
     """
 
     def __init__(self, capacity: int, width: int, rng: SeededRng):
@@ -58,18 +59,13 @@ class Reservoir:
     def __len__(self) -> int:
         return self._count
 
-    def offer(self, v) -> None:
-        """Offer one vector of ``width`` values: a float64 row as it stands,
-        anything else (a list, a (1, width) array, float32) after conversion."""
-        if type(v) is np.ndarray and v.dtype is _F64 and v.shape == self._row_shape:
-            vec = v
-        else:
-            vec = np.asarray(v, dtype=np.float64).reshape(-1)
-            if vec.size != self.width:
-                raise InvalidShape(f"expected width {self.width}, got {vec.size}")
+    def offer(self, v: np.ndarray) -> None:
+        """Offer one float64 array of shape ``(width,)``; a kept row is copied."""
+        if not (type(v) is np.ndarray and v.dtype is _F64 and v.shape == self._row_shape):
+            raise InvalidShape(f"expected a float64 array of shape ({self.width},)")
         self.seen += 1
         if self._count < self.capacity:
-            self._buf[self._count] = vec
+            self._buf[self._count] = v
             self._count += 1
             return
         if not self._slots:
@@ -77,7 +73,7 @@ class Reservoir:
             self._slots = self.rng.randints(bounds)[::-1].tolist()
         j = self._slots.pop()
         if j < self.capacity:
-            self._buf[j] = vec
+            self._buf[j] = v
 
     def rows(self) -> np.ndarray:
         return self._buf[: self._count].copy()

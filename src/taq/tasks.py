@@ -11,8 +11,8 @@ drawn from [7, vocab). modadd answers are taken mod vocab, with operand
 pairs whose sum collides with a reserved id rejected at generation time.
 
 ``gen_task`` draws its u64 values in blocks (``SeededRng.next_u64s``) and
-walks them once per item; the items are the ones a ``randint`` per token
-from the same stream gives.
+walks them once per item; the items are the ones one ``next_u64() % bound``
+per token, in stream order, gives.
 """
 
 from __future__ import annotations

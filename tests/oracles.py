@@ -18,6 +18,12 @@ from taq.tasks import (_GEN_TAG, EOS, N_RESERVED, PAYLOAD_MIN, copy_answer, make
                        modadd_answer, sortseq_answer)
 
 
+def randint(rng: SeededRng, n: int) -> int:
+    """Uniform integer in [0, n): one ``next_u64`` reduced modulo n, the draw
+    ``SeededRng.randints`` makes per bound."""
+    return rng.next_u64() % n
+
+
 def gram_triple_loop(z: np.ndarray) -> np.ndarray:
     r, d = z.shape
     k = np.zeros((r, r))
@@ -138,7 +144,7 @@ def greedy_decode_recompute(model, prompts: list[list[int]],
 
 
 def reservoir_reference(rows, capacity: int, rng) -> tuple[np.ndarray, int]:
-    """Algorithm R (Vitter 1985) one offer at a time, one ``rng.randint`` per
+    """Algorithm R (Vitter 1985) one offer at a time, one ``randint`` per
     offer past the fill. Returns the kept rows and the number offered."""
     kept: list = []
     seen = 0
@@ -147,29 +153,29 @@ def reservoir_reference(rows, capacity: int, rng) -> tuple[np.ndarray, int]:
         if len(kept) < capacity:
             kept.append(row)
             continue
-        j = rng.randint(seen)
+        j = randint(rng, seen)
         if j < capacity:
             kept[j] = row
     return np.array(kept), seen
 
 
 def gen_task_loop(task, n: int) -> list[tuple[list[int], list[int]]]:
-    """``gen_task`` one ``rng.randint`` per token, in stream order."""
+    """``gen_task`` one ``randint`` per token, in stream order."""
     rng = SeededRng(task.seed).derive(_GEN_TAG[task.id])
     span = task.vocab - PAYLOAD_MIN
     items = []
     for _ in range(n):
         if task.id == "modadd":
             while True:
-                a = PAYLOAD_MIN + rng.randint(span)
-                b = PAYLOAD_MIN + rng.randint(span)
+                a = PAYLOAD_MIN + randint(rng, span)
+                b = PAYLOAD_MIN + randint(rng, span)
                 answer = modadd_answer(a, b, task.vocab)
                 if answer[0] >= N_RESERVED:
                     break
             payload = [a, b]
         else:
-            length = task.min_payload + rng.randint(task.max_payload - task.min_payload + 1)
-            payload = [PAYLOAD_MIN + rng.randint(span) for _ in range(length)]
+            length = task.min_payload + randint(rng, task.max_payload - task.min_payload + 1)
+            payload = [PAYLOAD_MIN + randint(rng, span) for _ in range(length)]
             answer = copy_answer(payload) if task.id == "copy" else sortseq_answer(payload)
         items.append((make_prompt(task.id, payload), answer))
     return items

@@ -14,7 +14,7 @@ from taq.alloc import (
 from taq.errors import BudgetInfeasible, InvalidInput, ModelTooSmall
 from taq.linalg import SeededRng
 
-from oracles import knapsack_exhaustive
+from oracles import knapsack_exhaustive, randint
 
 
 def sort_then_slice_oracle(relevance, f16, f8, edge_pin):
@@ -102,7 +102,7 @@ class TestAllocateRank:
     def test_monotone_invariant_random(self):
         rng = SeededRng(67)
         for trial in range(100):
-            n = 5 + rng.randint(28)
+            n = 5 + randint(rng, 28)
             r = rng.normals(n)
             plan = rank(r)
             assert check_monotone(plan, r)
@@ -153,7 +153,7 @@ class TestKnapsackExact:
             n = 6
             r = np.abs(rng.normals(n)) + 0.1
             cost = CostModel((10,) * n)
-            budget = 10 * (4 * n + rng.randint(12 * n))
+            budget = 10 * (4 * n + randint(rng, 12 * n))
             bits = knapsack_exhaustive(r, cost.weight_counts, budget)
             plan = BitPlan(bits=bits, pinned=frozenset(), cost=cost.cost(bits))
             assert check_monotone(plan, r)
@@ -166,7 +166,7 @@ class TestUniformPlan:
     def test_cost(self):
         plan = uniform_plan(8, 16, CostModel((2,) * 8))
         assert plan.cost == 8 * 16 * 2
-        assert plan.source == "uniform:16"
+        assert plan.bits == [16] * 8 and plan.pinned == frozenset()
 
     def test_bad_bits(self):
         with pytest.raises(InvalidInput):

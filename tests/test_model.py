@@ -7,7 +7,7 @@ import pytest
 
 import taq.model
 from taq.alloc import AllocConfig, CostModel, allocate_rank
-from taq.errors import InvalidConfig, InvalidInput, ModelTooSmall
+from taq.errors import InvalidConfig, InvalidInput, InvalidPlan, ModelTooSmall, TrainingDiverged
 from taq.linalg import SeededRng
 from taq.model import (
     DEFAULT_MAX_NEW_TOKENS,
@@ -34,7 +34,7 @@ from taq.stats import (Reservoir, StreamingMoments, finalize_profile, spectral_e
                        variance_and_stability)
 from taq.tasks import EOS, SEP, ToyTask, gen_task, full_sequence
 
-from oracles import forward_reference, greedy_decode_recompute
+from oracles import forward_reference, greedy_decode_recompute, randint
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
 # the benchmark's committed default-config checkpoint: a model whose decoded
@@ -55,9 +55,9 @@ def traced_peak(call) -> int:
 
 def small_batch(cfg, rng_seed=3, batch=2, seq=6):
     rng = SeededRng(rng_seed)
-    tokens = np.array([[rng.randint(cfg.vocab) for _ in range(seq)]
+    tokens = np.array([[randint(rng, cfg.vocab) for _ in range(seq)]
                        for _ in range(batch)])
-    targets = np.array([[rng.randint(cfg.vocab) for _ in range(seq)]
+    targets = np.array([[randint(rng, cfg.vocab) for _ in range(seq)]
                         for _ in range(batch)])
     mask = np.zeros((batch, seq))
     mask[:, 2:5] = 1.0
@@ -233,7 +233,7 @@ class TestForward:
             if not name.endswith((".g", ".b")):
                 model.params[name] = w * weight_scale
         rng = SeededRng(length)
-        prompts = [[rng.randint(64) for _ in range(1 + rng.randint(length))]
+        prompts = [[randint(rng, 64) for _ in range(1 + randint(rng, length))]
                    for _ in range(63)] + [[5] * length]
         tokens = _pad_batch(prompts)
         got, want = [], []
@@ -316,6 +316,11 @@ class TestQuantizedModel:
         for name in before:
             np.testing.assert_array_equal(m.params[name], before[name])
 
+    @pytest.mark.parametrize("layer", [SMALL.n_layers, -1], ids=["past-last", "negative"])
+    def test_layer_outside_model_rejected(self, layer):
+        with pytest.raises(InvalidPlan):
+            init_model(SMALL).with_quantized_layers({layer: 4}, 128)
+
 
 class TestGradients:
     @pytest.mark.parametrize("cfg", [
@@ -372,9 +377,9 @@ class TestGradients:
         eps = 1e-6
         checked = 0
         while checked < 20:
-            name = names[coord_rng.randint(len(names))]
+            name = names[randint(coord_rng, len(names))]
             flat = model.params[name].reshape(-1)
-            j = coord_rng.randint(flat.size)
+            j = randint(coord_rng, flat.size)
             orig = flat[j]
             flat[j] = orig + eps
             up, _ = loss_and_grads(model, tokens, targets, mask)
@@ -416,6 +421,14 @@ class TestTraining:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_nan_parameter_diverges(self):
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=16)
+        model = init_model(cfg)
+        model.params["unembed.w"][0, 0] = np.nan
+        items = gen_task(ToyTask("copy", 1, vocab=cfg.vocab, max_payload=4), 4)
+        with pytest.raises(TrainingDiverged, match="loss became nan at step 0"):
+            train_toy(model, items, steps=2, batch_size=2)
+
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
     ], ids=["no-batch", "nan-lr", "inf-lr", "zero-lr"])
@@ -446,7 +459,7 @@ class TestTraining:
         items = gen_task(ToyTask("copy", 1, vocab=SMALL.vocab, max_payload=4), 5)
         train_toy(init_model(SMALL), items, steps=3, seed=4, batch_size=6)
         rng = SeededRng(4).derive(taq.model._TRAIN_TAG)
-        assert seen == [[rng.randint(5) for _ in range(6)] for _ in range(3)]
+        assert seen == [[randint(rng, 5) for _ in range(6)] for _ in range(3)]
 
 
 def scripted_evaluate(monkeypatch, preds, answers) -> EvalResult:
@@ -537,7 +550,7 @@ class TestGreedyDecode:
         # the full-length row ends after one token and must leave the batch
         model = init_model(SMALL)
         rng = SeededRng(29)
-        long = [7 + rng.randint(SMALL.vocab - 7) for _ in range(SMALL.max_seq)]
+        long = [7 + randint(rng, SMALL.vocab - 7) for _ in range(SMALL.max_seq)]
         short = [4, 9, 11, SEP]
         batched = greedy_decode(model, [long, short], max_new_tokens=6)
         assert batched == [greedy_decode(model, [long], max_new_tokens=6)[0],
@@ -547,7 +560,7 @@ class TestGreedyDecode:
     def test_random_batch_matches_per_row(self):
         model = init_model(SMALL)
         rng = SeededRng(31)
-        prompts = [[rng.randint(SMALL.vocab) for _ in range(1 + rng.randint(SMALL.max_seq))]
+        prompts = [[randint(rng, SMALL.vocab) for _ in range(1 + randint(rng, SMALL.max_seq))]
                    for _ in range(12)]
         batched = greedy_decode(model, prompts, max_new_tokens=8)
         assert batched == [greedy_decode(model, [p], max_new_tokens=8)[0] for p in prompts]
@@ -559,7 +572,7 @@ class TestGreedyDecode:
 
 def ragged_prompts(cfg, seed, n=12):
     rng = SeededRng(seed)
-    return [[rng.randint(cfg.vocab) for _ in range(1 + rng.randint(cfg.max_seq))]
+    return [[randint(rng, cfg.vocab) for _ in range(1 + randint(rng, cfg.max_seq))]
             for _ in range(n)]
 
 
@@ -630,8 +643,8 @@ class TestCachedDecode:
         kv = [np.zeros((2, len(prompts), cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads))
               for _ in range(cfg.n_layers)]
         _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)
-        x = model.params["embed.tok"][nxt] + model.params["embed.pos"][pos]
-        x = _blocks(model, x[:, None], 0, cfg.n_layers, kv=kv, pos=pos[:, None])[:, 0]
+        x = _blocks(model, embed(model, nxt[:, None], pos[:, None]), 0, cfg.n_layers, kv=kv,
+                    pos=pos[:, None])[:, 0]
         step = _final_logits(model, x)
         for row, p in enumerate(prompts):
             full = forward(model, np.array([p + [int(nxt[row])]]))[0, -1]

@@ -26,33 +26,48 @@ def test_console_scripts_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def _names(nodes) -> set[str]:
-    """Every identifier the nodes' code refers to or imports."""
+def _names(nodes, skip=None) -> set[str]:
+    """Every identifier the nodes' code refers to or imports, outside ``skip``."""
     out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                out.add(sub.name.rpartition(".")[2])
+    stack = list(nodes)
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(sub))
     return out
 
 
+def _public_definitions(tree):
+    """(name, node) of each public module-level function and class, and of
+    each public method and property of a module-level class as Class.name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_public_definition_is_reached():
-    # a module-level public function or class must be used by its own module
-    # (outside its definition), named by another src/taq module or by bench/
+    # a public function, class, method or property must be used by its own
+    # module (outside its definition), named by another src/taq module or by
+    # bench/
     modules = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "taq").glob("*.py"))}
     bench = _names(ast.parse(p.read_text()) for p in (ROOT / "bench").glob("*.py"))
     unreached = []
     for path, tree in modules.items():
         elsewhere = bench.union(*(_names([t]) for p, t in modules.items() if p != path))
-        for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in UNREACHED_ALLOWED):
+        for name, node in _public_definitions(tree):
+            if name in UNREACHED_ALLOWED:
                 continue
-            own = _names(n for n in tree.body if n is not node)
-            if node.name not in own | elsewhere:
-                unreached.append(f"{path.name}:{node.name}")
+            if node.name not in _names([tree], skip=node) | elsewhere:
+                unreached.append(f"{path.name}:{name}")
     assert not unreached, f"public definitions nothing reaches: {unreached}"

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from taq.errors import InsufficientData, InvalidConfig, InvalidInput, InvalidShape
+from taq.errors import (ConvergenceError, InsufficientData, InvalidConfig, InvalidInput,
+                        InvalidShape)
 from taq.linalg import SeededRng
 from taq.stats import (
     _DRAW_BLOCK,
+    EIG_KEEP_REL,
     Reservoir,
     StreamingMoments,
     finalize_profile,
@@ -16,14 +18,29 @@ from taq.stats import (
     zscore,
 )
 
-from oracles import reservoir_reference, two_pass_variance
+from oracles import (charpoly_roots, gram_triple_loop, randint, reservoir_reference,
+                     two_pass_variance)
+
+
+def fill(rows):
+    """A reservoir holding exactly these rows, offered as float64 rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    res = Reservoir(rows.shape[0], rows.shape[1], SeededRng(0))
+    for r in rows:
+        res.offer(r)
+    return res
+
+
+def entropy(rows):
+    """spectral_entropy of a reservoir holding exactly these rows."""
+    return spectral_entropy(fill(rows))
 
 
 class TestReservoir:
     def test_under_capacity_retains_all(self):
         res = Reservoir(4, 2, SeededRng(1))
         for i in range(3):
-            res.offer([float(i), 0.0])
+            res.offer(np.array([float(i), 0.0]))
         assert len(res) == 3
         np.testing.assert_array_equal(res.rows()[:, 0], [0.0, 1.0, 2.0])
 
@@ -31,7 +48,7 @@ class TestReservoir:
         def run():
             res = Reservoir(1, 1, SeededRng(99))
             for i in range(500):
-                res.offer([float(i)])
+                res.offer(np.array([float(i)]))
             return res.rows()[0, 0]
         assert run() == run()
 
@@ -45,7 +62,7 @@ class TestReservoir:
     def test_width_mismatch(self):
         res = Reservoir(2, 3, SeededRng(0))
         with pytest.raises(InvalidShape):
-            res.offer([1.0, 2.0])
+            res.offer(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("row", [np.zeros(2), np.zeros((1, 2)), np.zeros(4)],
                              ids=["short", "short-2d", "long"])
@@ -55,16 +72,22 @@ class TestReservoir:
             res.offer(row)
         assert res.seen == 0
 
-    def test_other_row_forms_stored_as_float64(self):
-        # float64 rows skip conversion; lists, (1, width) arrays and float32
-        # rows are converted as before
-        forms = [[1.0, 2.0, 3.0], np.array([[4.0, 5.0, 6.0]]), np.array([7, 8, 9], np.float32),
-                 np.arange(10.0, 13.0), np.arange(13.0, 19.0)[::2]]
-        res = Reservoir(len(forms), 3, SeededRng(0))
-        for row in forms:
+    @pytest.mark.parametrize("row", [[1.0, 2.0, 3.0], np.array([[1.0, 2.0, 3.0]]),
+                                     np.array([1.0, 2.0, 3.0], np.float32)],
+                             ids=["list", "1-by-width", "float32"])
+    def test_other_row_forms_refused(self, row):
+        # a wrong-width row is test_width_mismatch_array's case
+        res = Reservoir(2, 3, SeededRng(0))
+        with pytest.raises(InvalidShape):
             res.offer(row)
-        assert res.rows().tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12],
-                                       [13, 15, 17]]
+        assert res.seen == 0 and len(res) == 0
+
+    def test_non_contiguous_row_stored_as_a_copy(self):
+        base = np.arange(13.0, 19.0)
+        res = Reservoir(1, 3, SeededRng(0))
+        res.offer(base[::2])
+        base[:] = 0.0
+        assert res.rows().tolist() == [[13.0, 15.0, 17.0]]
 
     def test_kept_row_is_a_copy(self):
         row = np.ones(3)
@@ -179,15 +202,8 @@ class TestStreamingMoments:
 
 
 class TestSpectralEntropy:
-    def _fill(self, rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        res = Reservoir(rows.shape[0], rows.shape[1], SeededRng(0))
-        for r in rows:
-            res.offer(r)
-        return res
-
     def test_identical_rows_degenerate(self):
-        h, degenerate = spectral_entropy(self._fill(np.ones((5, 3))))
+        h, degenerate = spectral_entropy(fill(np.ones((5, 3))))
         assert h == 0.0 and degenerate
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 5, 7, 64])
@@ -196,24 +212,24 @@ class TestSpectralEntropy:
     def test_equal_rows_degenerate_whatever_the_rounding(self, values, n_rows):
         # the column mean of equal rows need not round back to the row, so the
         # centered rows need not be exactly zero; the flag comes from the rows
-        h, degenerate = spectral_entropy(self._fill([values] * n_rows))
+        h, degenerate = spectral_entropy(fill([values] * n_rows))
         assert degenerate and h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_rank_one_spectrum_is_positive_zero(self):
         a = np.array([1.0, 2.0, 0.0])
-        h, degenerate = spectral_entropy(self._fill([a, -a, 3 * a]))
+        h, degenerate = spectral_entropy(fill([a, -a, 3 * a]))
         assert not degenerate and h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_non_finite_rows_rejected(self):
         with pytest.raises(InvalidInput):
-            spectral_entropy(self._fill([[0.0, 1.0], [np.nan, 2.0]]))
+            spectral_entropy(fill([[0.0, 1.0], [np.nan, 2.0]]))
 
     def test_two_point_uniform_spectrum(self):
         # rows {a, -a, b, -b} with a ⊥ b and equal norms give two equal
         # nonzero eigenvalues
         a = np.array([1.0, 0.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0, 0.0])
-        h, degenerate = spectral_entropy(self._fill([a, -a, b, -b]))
+        h, degenerate = spectral_entropy(fill([a, -a, b, -b]))
         assert not degenerate
         assert abs(h - math.log(2)) < 1e-9
 
@@ -222,24 +238,24 @@ class TestSpectralEntropy:
         # flat spectrum: H = ln(r - 1)
         r = 6
         rows = np.eye(r, 8) * 3.0
-        h, degenerate = spectral_entropy(self._fill(rows))
+        h, degenerate = spectral_entropy(fill(rows))
         assert not degenerate
         assert abs(h - math.log(r - 1)) < 1e-9
 
     def test_entropy_bounds_random(self):
         rng = SeededRng(7)
         for trial in range(20):
-            r = 2 + rng.randint(12)
-            d = 1 + rng.randint(12)
+            r = 2 + randint(rng, 12)
+            d = 1 + randint(rng, 12)
             rows = rng.normals(r * d).reshape(r, d)
-            h, degenerate = spectral_entropy(self._fill(rows))
+            h, degenerate = spectral_entropy(fill(rows))
             assert 0.0 <= h <= math.log(r) + 1e-12
 
     def test_scale_invariance(self):
         rng = SeededRng(9)
         rows = rng.normals(12 * 5).reshape(12, 5)
-        h1, _ = spectral_entropy(self._fill(rows))
-        h2, _ = spectral_entropy(self._fill(rows * 37.5))
+        h1, _ = spectral_entropy(fill(rows))
+        h2, _ = spectral_entropy(fill(rows * 37.5))
         assert abs(h1 - h2) < 1e-8
 
     def test_gram_dual_matches_direct(self):
@@ -253,12 +269,131 @@ class TestSpectralEntropy:
             lam = lam[lam >= 1e-12 * lam.max()]
             norm = lam / lam.sum()
             want = float(-(norm * np.log(norm)).sum())
-            h, _ = spectral_entropy(self._fill(rows))
+            h, _ = spectral_entropy(fill(rows))
             assert abs(h - want) < 1e-8
 
     def test_empty_reservoir_rejected(self):
         with pytest.raises(InsufficientData):
             spectral_entropy(Reservoir(4, 2, SeededRng(0)))
+
+
+def entropy_of(eigvals, total=None):
+    """Shannon entropy of an oracle spectrum over ``total`` (default: its sum),
+    eigenvalues below EIG_KEEP_REL of the largest dropped."""
+    lam = np.asarray(eigvals, dtype=np.float64)
+    lam = lam[lam >= EIG_KEEP_REL * lam.max()]
+    p = lam / (lam.sum() if total is None else total)
+    return float(-(p * np.log(p)).sum())
+
+
+def centered(z):
+    return z - z.mean(axis=0)
+
+
+class TestEntropyOfRowGram:
+    """The centered row Gram (1/r) Z Z^T behind spectral_entropy, checked
+    against the Gram built by the triple-loop oracle."""
+
+    def test_identity(self):
+        # r one-hot rows: r - 1 equal eigenvalues after centering
+        h, degenerate = entropy(np.eye(4))
+        assert not degenerate and abs(h - math.log(3)) < 1e-12
+
+    def test_zeros(self):
+        assert entropy(np.zeros((3, 4))) == (0.0, True)
+
+    def test_matches_triple_loop_oracle(self):
+        rng = SeededRng(7)
+        z = rng.normals(24).reshape(4, 6)
+        want = entropy_of(np.linalg.eigvalsh(gram_triple_loop(centered(z))))
+        assert abs(entropy(z)[0] - want) <= 1e-12
+
+    def test_symmetric_and_psd(self):
+        # a PSD Gram's normalized spectrum is a distribution over at most
+        # min(r - 1, d) nonzero eigenvalues, so 0 <= H <= ln min(r - 1, d)
+        rng = SeededRng(11)
+        for trial in range(10):
+            z = rng.normals(5 * 7).reshape(5, 7)
+            h, degenerate = entropy(z)
+            assert not degenerate and 0.0 <= h <= math.log(4) + 1e-12
+
+    def test_row_permutation_invariant(self):
+        rng = SeededRng(29)
+        z = rng.normals(9 * 4).reshape(9, 4)
+        perm = [3, 7, 0, 8, 1, 5, 2, 6, 4]
+        assert abs(entropy(z[perm])[0] - entropy(z)[0]) <= 1e-12
+
+
+class TestEntropyIsShiftInvariant:
+    """spectral_entropy centers the rows: a constant added to every row does
+    not change it."""
+
+    def test_symmetric_pair(self):
+        # rows 1 and 3 center to -1 and 1: one eigenvalue, entropy +0.0
+        assert entropy([[1.0], [3.0]]) == entropy([[-1.0], [1.0]]) == (0.0, False)
+
+    def test_idempotent(self):
+        rng = SeededRng(3)
+        z = rng.normals(15).reshape(5, 3)
+        assert abs(entropy(centered(z))[0] - entropy(z)[0]) <= 1e-12
+
+    def test_column_sums_vanish(self):
+        rng = SeededRng(5)
+        z = rng.normals(15).reshape(5, 3)
+        shift = 10.0 * rng.normals(3)
+        assert abs(entropy(z + shift)[0] - entropy(z)[0]) <= 1e-10
+
+
+class TestEntropyMatchesEigenOracles:
+    """spectral_entropy against the entropy of the centered Gram's eigenvalues
+    from characteristic-polynomial roots and from eigvalsh."""
+
+    def test_diagonal(self):
+        z = np.diag([1.0, 2.0, 3.0])
+        want = entropy_of(charpoly_roots(gram_triple_loop(centered(z))))
+        assert abs(entropy(z)[0] - want) <= 1e-12
+
+    def test_tall_and_wide(self):
+        # min(r - 1, d) nonzero eigenvalues either way
+        rng = SeededRng(23)
+        for r, d in [(7, 3), (3, 7)]:
+            z = rng.normals(r * d).reshape(r, d)
+            want = entropy_of(np.linalg.eigvalsh(gram_triple_loop(centered(z))))
+            assert abs(entropy(z)[0] - want) <= 1e-12
+
+    def test_matches_charpoly_roots_3x3(self):
+        rng = SeededRng(13)
+        for trial in range(20):
+            z = rng.normals(15).reshape(3, 5)
+            want = entropy_of(charpoly_roots(gram_triple_loop(centered(z))))
+            assert abs(entropy(z)[0] - want) <= 1e-8
+
+    def test_matches_charpoly_roots_n_le_4(self):
+        # one row is a degenerate reservoir; two rows have a rank-1 spectrum
+        rng = SeededRng(17)
+        assert entropy(rng.normals(3).reshape(1, 3)) == (0.0, True)
+        for n in (2, 3, 4):
+            for trial in range(10):
+                z = rng.normals(n * (n + 2)).reshape(n, n + 2)
+                want = entropy_of(charpoly_roots(gram_triple_loop(centered(z))))
+                assert abs(entropy(z)[0] - want) <= 1e-8
+
+    def test_trace_identity(self):
+        # normalizing by the trace ||Z_c||_F^2 / r equals normalizing by the
+        # eigenvalue sum
+        rng = SeededRng(19)
+        for r, d in [(2, 2), (5, 3), (16, 16), (33, 8), (8, 33)]:
+            z = rng.normals(r * d).reshape(r, d)
+            zc = centered(z)
+            want = entropy_of(np.linalg.eigvalsh(gram_triple_loop(zc)), (zc * zc).sum() / r)
+            assert abs(entropy(z)[0] - want) <= 1e-10
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            entropy(np.eye(3))
 
 
 class TestZscore:
