@@ -4,8 +4,9 @@ Pre-norm blocks (LayerNorm, causal multi-head attention, ReLU MLP, residual
 connections), learned positional embeddings, no biases on the linear maps.
 Forward, analytic backward, SGD training with gradient clipping, greedy
 decoding with a per-layer key/value cache, and EM / token-F1 evaluation all
-live here. Activation capture hooks observe each block's post-residual
-output without altering results.
+live here; training computes only the positions its loss can reach.
+Activation capture hooks observe each block's post-residual output without
+altering results.
 
 Every path reads weights from ``model.params`` alone. A quantized model has
 its own parameter dict in which each quantized matrix is its QTensor's
@@ -168,8 +169,8 @@ def _affine(xhat, g, b):
 
 
 def _layer_norm_backward(dout, xhat, istd, g):
-    dg = (dout * xhat).sum(axis=(0, 1), keepdims=False).reshape(1, -1)
-    db = dout.sum(axis=(0, 1)).reshape(1, -1)
+    dg = (dout * xhat).sum(axis=0, keepdims=True)
+    db = dout.sum(axis=0, keepdims=True)
     dxhat = dout * g
     dx = istd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -199,6 +200,16 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _unpack(x, rows):
+    """Packed (n, d) rows onto a zero (batch, t, d) grid at the True entries
+    of ``rows``, in row-major order; x itself when ``rows`` is None."""
+    if rows is None:
+        return x
+    grid = np.zeros(rows.shape + x.shape[-1:])
+    grid[rows] = x
+    return grid
+
+
 def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     try:
         arr = np.asarray(tokens)
@@ -218,7 +229,7 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
 
 
 def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=None,
-                   cache=None) -> np.ndarray:
+                   cache=None, rows=None) -> np.ndarray:
     """One block over x (batch, t, d_model): its output. ``keep`` is
     ``_attention_mask(pos)``; without ``kv`` the t queries attend over their
     own t keys. Given the block's cache ``kv``, (2, batch, n_heads, n_pos,
@@ -229,16 +240,18 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     Only ``loss_and_grads`` passes ``cache``, a dict the block fills with the
     activations its backward pass reads. Without it every intermediate is
     dropped once its last reader is done, so inference holds only what the
-    next operation reads."""
+    next operation reads. Given ``rows``, a (batch, t) boolean array, x is
+    the packed (n, d_model) rows at its True entries (see ``loss_and_grads``)
+    and attention alone runs on the (batch, t) grid."""
     cfg = model.config
     w = model.params
     pre = f"layer{i}."
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
     a = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"], cache, "1")
-    qh = _split_heads(_linear(a, w[pre + "attn.wq"]), cfg.n_heads)
-    kh = _split_heads(_linear(a, w[pre + "attn.wk"]), cfg.n_heads)
-    vh = _split_heads(_linear(a, w[pre + "attn.wv"]), cfg.n_heads)
+    qh = _split_heads(_unpack(_linear(a, w[pre + "attn.wq"]), rows), cfg.n_heads)
+    kh = _split_heads(_unpack(_linear(a, w[pre + "attn.wk"]), rows), cfg.n_heads)
+    vh = _split_heads(_unpack(_linear(a, w[pre + "attn.wv"]), rows), cfg.n_heads)
     del a
     if kv is not None:
         slots = (np.arange(len(x))[:, None], slice(None), pos)  # (batch, t, n_heads, d_head)
@@ -254,7 +267,7 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     np.exp(p, out=p)
     p *= keep
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    ctx = _merge_heads(p @ vh)
+    ctx = _merge_heads(p @ vh) if rows is None else _merge_heads(p @ vh)[rows]
     if cache is not None:
         cache.update(qh=qh, kh=kh, vh=vh, p=p, ctx=ctx)
     del qh, kh, vh, p
@@ -288,15 +301,16 @@ def embed(model: ToyModel, tokens, pos=None) -> np.ndarray:
 
 
 def _blocks(model: ToyModel, x: np.ndarray, start: int, stop: int, capture=None,
-            kv=None, pos=None, caches=None) -> np.ndarray:
+            kv=None, pos=None, caches=None, rows=None) -> np.ndarray:
     """Blocks [start, stop) over x at positions ``pos`` (batch or 1, t),
     by default [0, t) for every row; ``kv[i]`` is block i's key/value cache
-    and ``caches[i]`` the dict block i fills for its backward pass."""
+    and ``caches[i]`` the dict block i fills for its backward pass. Given
+    ``rows``, x is packed as in ``_block_forward`` and ``pos`` is required."""
     pos = np.arange(x.shape[1])[None] if pos is None else pos
     keep = _attention_mask(pos)
     for i in range(start, stop):
         x = _block_forward(model, i, x, keep, None if kv is None else kv[i], pos,
-                           None if caches is None else caches[i])
+                           None if caches is None else caches[i], rows)
         if capture is not None:
             capture(i, x)
     return x
@@ -324,6 +338,18 @@ def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray
 def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     """Masked mean cross-entropy and analytic gradients for every parameter,
     in ``model.params`` order.
+
+    Only the positions the loss can reach are computed: row r's [0, need_r),
+    need_r one past its last nonzero mask entry (0 for an all-zero row).
+    Attention is causal, so a later position never feeds the loss, and what
+    skipping it drops is exact zeros. The needed positions, packed in
+    row-major order into (n, d_model) rows, go through every step but
+    attention, which scatters q/k/v onto a zero (batch, t) grid and gathers
+    the context back; its backward pass mirrors this. The grid keeps the full
+    width t, not max need_r: t is the inner length of ``p @ v``, and a
+    shorter one changes those sums in the last bits. For the same reason the
+    loss is summed on the grid. Loss and gradients are bit for bit those of
+    computing every position.
 
     This is the one caller that passes backward caches to ``_blocks`` and
     ``_final_logits``, one dict per block and one for the loss path; every
@@ -360,23 +386,26 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     if not (math.isfinite(total) and total > 0):
         raise InvalidInput(f"loss mask must be finite and select positions; it sums to {total}")
 
+    b, t = arr.shape
+    rows = np.arange(t) < ((mask != 0) * np.arange(1, t + 1)).max(axis=1)[:, None]
     caches = [{} for _ in range(cfg.n_layers)]
     fcache = {}
-    logits = _final_logits(model, _blocks(model, embed(model, arr), 0, cfg.n_layers,
-                                          caches=caches), fcache)
+    logits = _final_logits(model, _blocks(model, embed(model, arr)[rows], 0, cfg.n_layers,
+                                          pos=np.arange(t)[None], caches=caches, rows=rows),
+                           fcache)
 
-    b, t, vocab = logits.shape
+    tgt = targets[rows]
     logits -= logits.max(axis=-1, keepdims=True)
     dlogits = np.exp(logits)
     sez = dlogits.sum(axis=-1, keepdims=True)
-    picked = np.take_along_axis(logits, targets[..., None], axis=-1) - np.log(sez)
+    picked = np.zeros((b, t))  # summed on the grid, in the unpacked sum's order
+    picked[rows] = np.take_along_axis(logits, tgt[:, None], axis=-1)[:, 0] - np.log(sez[:, 0])
     del logits
-    loss = float(-(mask * picked[..., 0]).sum() / total)
+    loss = float(-(mask * picked).sum() / total)
 
     dlogits /= sez  # the softmax
-    np.add.at(dlogits.reshape(-1, vocab),
-              (np.arange(b * t), targets.reshape(-1)), -1.0)
-    dlogits *= (mask / total)[..., None]
+    np.add.at(dlogits, (np.arange(len(tgt)), tgt), -1.0)
+    dlogits *= (mask[rows] / total)[:, None]
 
     w = model.params
     grads = dict.fromkeys(w)
@@ -409,8 +438,9 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
         dx1 = norm(pre + "ln2", dm, c["xhat2"], c["istd2"]) + dx  # residual
         del du, m, dm
 
-        # attention path
-        dctx_h = _split_heads(linear(pre + "attn.wo", c["ctx"], dx1), cfg.n_heads)
+        # attention path, on the grid
+        dctx_h = _split_heads(_unpack(linear(pre + "attn.wo", c["ctx"], dx1), rows),
+                              cfg.n_heads)
         dp = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
         dvh = c["p"].transpose(0, 1, 3, 2) @ dctx_h
         dp -= (dp * c["p"]).sum(axis=-1, keepdims=True)
@@ -418,17 +448,17 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
         dqh = dp @ c["kh"] * scale
         dkh = dp.transpose(0, 1, 3, 2) @ c["qh"] * scale
         a = _affine(c["xhat1"], w[pre + "ln1.g"], w[pre + "ln1.b"])
-        da = linear(pre + "attn.wq", a, _merge_heads(dqh)) + \
-            linear(pre + "attn.wk", a, _merge_heads(dkh)) + \
-            linear(pre + "attn.wv", a, _merge_heads(dvh))
+        da = linear(pre + "attn.wq", a, _merge_heads(dqh)[rows]) + \
+            linear(pre + "attn.wk", a, _merge_heads(dkh)[rows]) + \
+            linear(pre + "attn.wv", a, _merge_heads(dvh)[rows])
         del a, dctx_h, dp, dqh, dkh, dvh
         dx = norm(pre + "ln1", da, c["xhat1"], c["istd1"]) + dx1  # residual
         del caches[i + 1:]  # the block above, once this one's gradients sit over it
 
     grads["embed.tok"] = np.zeros_like(w["embed.tok"])
-    np.add.at(grads["embed.tok"], arr.reshape(-1), dx.reshape(-1, cfg.d_model))
+    np.add.at(grads["embed.tok"], arr[rows], dx)
     grads["embed.pos"] = np.zeros_like(w["embed.pos"])
-    grads["embed.pos"][: arr.shape[1]] += dx.sum(axis=0)
+    np.add.at(grads["embed.pos"], np.nonzero(rows)[1], dx)
     return loss, grads
 
 

@@ -225,3 +225,13 @@ def forward_reference(model, tokens, capture=None) -> np.ndarray:
         if capture is not None:
             capture(i, x)
     return layer_norm(x, w["ln_f.g"], w["ln_f.b"]) @ w["unembed.w"]
+
+
+def masked_cross_entropy_reference(model, tokens, targets, mask) -> float:
+    """The masked mean cross-entropy of ``forward_reference`` logits over
+    every position of the padded batch."""
+    z = forward_reference(model, tokens)
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, np.asarray(targets)[..., None], axis=-1)[..., 0]
+    return float(-(mask * picked).sum() / mask.sum())

@@ -17,6 +17,7 @@ from taq.model import (
     _blocks,
     _final_logits,
     _pad_batch,
+    _training_batch,
     embed,
     evaluate,
     forward,
@@ -32,9 +33,10 @@ from taq.model import (
 )
 from taq.stats import (Reservoir, StreamingMoments, finalize_profile, spectral_entropy,
                        variance_and_stability)
-from taq.tasks import EOS, SEP, ToyTask, gen_task, full_sequence
+from taq.tasks import EOS, PAD, SEP, TASK_IDS, ToyTask, gen_task, full_sequence
 
-from oracles import forward_reference, greedy_decode_recompute, randint
+from oracles import (forward_reference, greedy_decode_recompute, masked_cross_entropy_reference,
+                     randint)
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
 # the benchmark's committed default-config checkpoint: a model whose decoded
@@ -51,6 +53,21 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def checkpoint_model() -> ToyModel:
+    cfg = ModelConfig()
+    with np.load(CHECKPOINT) as npz:
+        return ToyModel(cfg, {name: npz[name] for name, _ in param_shapes(cfg)})
+
+
+def training_batches(n, size=16, seed=5):
+    """``n`` batches of ``size`` items drawn from all three default-config
+    tasks, padded and masked as ``train_toy`` builds them."""
+    items = [it for tid in TASK_IDS for it in gen_task(ToyTask(tid, 1), 32)]
+    rng = SeededRng(seed)
+    return [_training_batch(items, rng.randints(np.full(size, len(items))).tolist())
+            for _ in range(n)]
 
 
 def small_batch(cfg, rng_seed=3, batch=2, seq=6):
@@ -347,13 +364,19 @@ class TestGradients:
             loss_and_grads(init_model(SMALL), [[1, 2]], targets, mask)
 
     def test_traced_peak(self):
-        # each block's cache is freed as its gradients come out and its
-        # LayerNorm outputs are rebuilt: one call on the default config with
-        # 16 rows of 20 tokens peaks near 16 MiB, against 24.5 MiB when every
-        # activation lived until the call returned
+        # the mask selects columns 2-4 of 20, so only the first 5 columns of
+        # each row are computed: one call on the default config with 16 rows
+        # peaks near 9.5 MiB, against 16.8 MiB when every position was computed
         model = init_model(ModelConfig())
         tokens, targets, mask = small_batch(model.config, batch=16, seq=20)
-        assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 20 * MIB
+        assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 12 * MIB
+
+    def test_traced_peak_on_a_training_batch(self):
+        # 16 items of the three tasks, right-padded: near 12.7 MiB, against
+        # 16.8 MiB when padding and the positions past the loss were computed
+        model = init_model(ModelConfig())
+        tokens, targets, mask = training_batches(1)[0]
+        assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 15 * MIB
 
     def test_finite_difference_agreement(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)
@@ -391,6 +414,66 @@ class TestGradients:
             denom = max(abs(fd), abs(analytic), 1e-8)
             assert abs(fd - analytic) / denom < 1e-4, (name, j, fd, analytic)
             checked += 1
+
+
+class TestPackedPositions:
+    """``loss_and_grads`` computes only the positions up to each row's last
+    loss position; these pin what that may and may not change."""
+
+    @pytest.mark.parametrize("hole", [False, True], ids=["answer-mask", "mask-with-hole"])
+    def test_loss_matches_reference_forward(self, hole):
+        # a packing that dropped or kept one position too many moves the loss
+        # far beyond 1e-12 on the trained checkpoint
+        model = checkpoint_model()
+        for tokens, targets, mask in training_batches(3):
+            if hole:
+                mask[::2, :3] = 1.0
+                mask[::2, 3:6] = 0.0
+            loss, _ = loss_and_grads(model, tokens, targets, mask)
+            want = masked_cross_entropy_reference(model, tokens, targets, mask)
+            assert abs(loss - want) <= 1e-12 * abs(want)
+
+    def test_positions_past_the_last_loss_position_never_read(self):
+        model = init_model(ModelConfig())
+        rng = SeededRng(8)
+        for tokens, targets, mask in training_batches(5, seed=6):
+            want = loss_and_grads(model, tokens, targets, mask)
+            for r in range(len(tokens)):
+                after = np.flatnonzero(mask[r])[-1] + 1
+                n = tokens.shape[1] - after
+                tokens[r, after:] = rng.randints(np.full(n, model.config.vocab))
+                targets[r, after:] = rng.randints(np.full(n, model.config.vocab))
+            loss, grads = loss_and_grads(model, tokens, targets, mask)
+            assert loss == want[0]
+            for name, g in want[1].items():
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+    @pytest.mark.parametrize("grow", ["pad-columns", "unmasked-row"])
+    def test_unmasked_padding_changes_only_summation_order(self, grow):
+        # not bit for bit: wider rows lengthen the attention products' inner
+        # axis, and an extra row reorders the loss's pairwise sum
+        model = init_model(ModelConfig())
+        for tokens, targets, mask in training_batches(3, seed=7):
+            want_loss, want_grads = loss_and_grads(model, tokens, targets, mask)
+            if grow == "pad-columns":
+                tokens, targets, mask = (np.pad(a, ((0, 0), (0, 3)), constant_values=v)
+                                         for a, v in ((tokens, PAD), (targets, PAD), (mask, 0)))
+            else:
+                tokens, targets, mask = (np.concatenate([a, a[:1] * k])
+                                         for a, k in ((tokens, 1), (targets, 1), (mask, 0)))
+            loss, grads = loss_and_grads(model, tokens, targets, mask)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            for name, g in want_grads.items():
+                assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_positions_inside_a_mask_hole_stay_context(self):
+        model = init_model(ModelConfig())
+        tokens, targets, mask = training_batches(1)[0]
+        mask[:] = 0.0
+        mask[:, [1, 5]] = 1.0
+        loss, _ = loss_and_grads(model, tokens, targets, mask)
+        tokens[:, 3] = (tokens[:, 3] + 1) % model.config.vocab
+        assert loss_and_grads(model, tokens, targets, mask)[0] != loss
 
 
 class TestTraining:
@@ -537,10 +620,8 @@ class TestEvaluate:
         # end at different steps, and each leaves the key/value cache one layer
         # at a time. The call peaks near 3.9 MiB, against 6.1 MiB when the
         # whole cache was copied at once and every block kept a training cache.
-        cfg = ModelConfig()
-        with np.load(CHECKPOINT) as npz:
-            model = ToyModel(cfg, {name: npz[name] for name, _ in param_shapes(cfg)})
-        qm = model.with_quantized_layers(dict.fromkeys(range(cfg.n_layers), 4), 128)
+        model = checkpoint_model()
+        qm = model.with_quantized_layers(dict.fromkeys(range(model.config.n_layers), 4), 128)
         items = gen_task(ToyTask("copy", 1), 16)
         assert traced_peak(lambda: evaluate(qm, items)) <= 4.5 * MIB
 
