@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import BudgetInfeasible, InvalidInput, ModelTooSmall, require_int
-from .quant import ADMISSIBLE_BITS
+from .errors import (BudgetInfeasible, InvalidInput, ModelTooSmall, require_array, require_int,
+                     require_real)
+from .quant import check_bits
 
 PIN_FULL_BITS = 32
 DEFAULT_F16 = 0.15
@@ -28,17 +27,17 @@ class CostModel:
     weight_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(require_int("weight count", c) >= 0 for c in self.weight_counts):
-            raise InvalidInput(
-                f"weight counts must be non-negative integers, got {self.weight_counts}")
+        counts = require_array("weight counts", self.weight_counts, 1, integer=True)
+        if (counts < 0).any():
+            raise InvalidInput(f"weight counts must be non-negative, got {self.weight_counts}")
+        object.__setattr__(self, "weight_counts", tuple(counts.tolist()))
 
     def cost(self, bits_per_layer) -> int:
-        if len(bits_per_layer) != len(self.weight_counts):
+        bits = require_array("bits", bits_per_layer, 1, integer=True).tolist()
+        if len(bits) != len(self.weight_counts):
             raise InvalidInput(
-                f"plan covers {len(bits_per_layer)} layers, cost model has "
-                f"{len(self.weight_counts)}")
-        return int(sum(c * require_int("bits", b)
-                       for c, b in zip(self.weight_counts, bits_per_layer)))
+                f"plan covers {len(bits)} layers, cost model has {len(self.weight_counts)}")
+        return sum(c * b for c, b in zip(self.weight_counts, bits))
 
 
 @dataclass
@@ -62,22 +61,11 @@ class AllocConfig:
     budget: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.f16 <= 1.0 and 0.0 <= self.f8 <= 1.0):
+        if not all(0.0 <= require_real(n, getattr(self, n)) <= 1.0 for n in ("f16", "f8")):
             raise InvalidInput("rank fractions must lie in [0, 1]")
-        if require_int("edge_pin", self.edge_pin) < 0:
-            raise InvalidInput(f"edge_pin must be an integer >= 0, got {self.edge_pin}")
-        if self.budget is not None and not math.isfinite(self.budget):
-            raise InvalidInput(f"budget must be finite, or None for no budget; got {self.budget}")
-
-
-def _relevance(relevance, n_layers: int | None = None) -> np.ndarray:
-    """Relevance as a finite 1-D float array, of length n_layers when given."""
-    r = np.asarray(relevance, dtype=np.float64)
-    if r.ndim != 1 or not np.isfinite(r).all():
-        raise InvalidInput(f"relevance must be a finite 1-D vector, got shape {r.shape}")
-    if n_layers is not None and r.size != n_layers:
-        raise InvalidInput(f"relevance has {r.size} entries, plan has {n_layers} layers")
-    return r
+        require_int("edge_pin", self.edge_pin, 0)
+        if self.budget is not None:  # None is the only way to say "no budget"
+            require_real("budget", self.budget)
 
 
 def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan:
@@ -88,7 +76,7 @@ def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan
     index. The plan is priced by ``cost_model``; raises BudgetInfeasible
     when a budget is set and that cost exceeds it.
     """
-    r = _relevance(relevance)
+    r = require_array("relevance", relevance, 1)
     n = r.size
     if n < 2 * cfg.edge_pin + 1:
         raise ModelTooSmall(
@@ -118,10 +106,8 @@ def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan
 
 def uniform_plan(n_layers: int, bits: int, cost_model: CostModel) -> BitPlan:
     """Task-agnostic baseline: every layer at ``bits``, priced by ``cost_model``."""
-    if require_int("n_layers", n_layers) < 1:
-        raise InvalidInput(f"n_layers must be >= 1, got {n_layers}")
-    if require_int("bits", bits) not in ADMISSIBLE_BITS:
-        raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
+    require_int("n_layers", n_layers, 1)
+    check_bits(bits)
     plan_bits = [bits] * n_layers
     return BitPlan(bits=plan_bits, pinned=frozenset(), cost=cost_model.cost(plan_bits))
 
@@ -129,7 +115,9 @@ def uniform_plan(n_layers: int, bits: int, cost_model: CostModel) -> BitPlan:
 def check_monotone(plan: BitPlan, relevance) -> bool:
     """True when every non-pinned pair with strictly higher relevance has
     at least as many bits."""
-    r = _relevance(relevance, plan.n_layers)
+    r = require_array("relevance", relevance, 1)
+    if r.size != plan.n_layers:
+        raise InvalidInput(f"relevance has {r.size} entries, plan has {plan.n_layers} layers")
     free = [i for i in range(plan.n_layers) if i not in plan.pinned]
     for i in free:
         for j in free:

@@ -1,11 +1,21 @@
-"""Exception hierarchy and the integer check shared by every module.
+"""Exception hierarchy, and the three checks of caller input.
 
-The CLI planned in ROADMAP direction 2 is to map them to exit codes:
-config/data problems exit 2, budget infeasibility exits 3, numeric
-convergence failures exit 4.
+Public entry points check their arguments through ``require_int``,
+``require_real`` and ``require_array``; no other module converts or checks
+caller input itself. So bad input raises a ``TaqError`` subclass, never a
+bare numpy ``ValueError`` or ``TypeError``.
+
+Exit codes, for the CLI of ROADMAP direction 2: 2 for ``InvalidInput`` and
+its subclass ``InvalidShape``, ``InvalidConfig``, ``InvalidPlan``,
+``InsufficientData``, ``CorruptCodes``, ``ModelTooSmall`` and ``IoError``;
+3 for ``BudgetInfeasible``; 4 for ``ConvergenceError`` and
+``TrainingDiverged``. Any other exception is a bug and exits 1.
 """
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 import numpy as np
 
@@ -14,12 +24,12 @@ class TaqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidShape(TaqError):
-    """Tensor or vector dimensions do not match the operation's contract."""
-
-
 class InvalidInput(TaqError):
     """Argument values violate an operation precondition."""
+
+
+class InvalidShape(InvalidInput):
+    """Tensor or vector dimensions do not match the operation's contract."""
 
 
 class InvalidConfig(TaqError):
@@ -63,9 +73,46 @@ class BudgetInfeasible(TaqError):
         self.budget = budget
 
 
-def require_int(name: str, value) -> int:
-    """``value`` as a Python int. Raises InvalidInput unless it is an int or a
-    numpy integer; a bool is refused too, as a flag and not a count."""
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a Python int, at least ``minimum`` when one is given.
+    Raises InvalidInput unless it is an int or a numpy integer; a bool is
+    refused too, as a flag and not a count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_real(name: str, value, error: type[TaqError] = InvalidInput) -> float:
+    """``value`` as a finite Python float. Raises ``error`` for a bool, a
+    non-number, NaN, an infinity or an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise error(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def require_array(name: str, value, ndim: int | None = None, integer: bool = False,
+                  finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array of finite values (a bool mask reads as
+    0/1), or with ``integer`` as an array of its own integer dtype (ids,
+    codes, counts; bools refused). A caller that checks finiteness in a pass
+    of its own gives ``finite=False``. An empty array passes with any dtype,
+    for the caller's shape check. Ragged nesting and non-numeric entries
+    raise InvalidInput, a wrong ``ndim`` (when given) InvalidShape."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as err:  # numpy's refusal of ragged nesting
+        raise InvalidInput(f"{name} must be a rectangular array of numbers: {err}") from None
+    if arr.size and arr.dtype.kind not in ("iu" if integer else "biuf"):
+        raise InvalidInput(f"{name} must hold {'integers' if integer else 'real numbers'}, "
+                           f"got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidShape(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if integer:
+        return arr
+    arr = arr.astype(np.float64, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} must be finite")
+    return arr

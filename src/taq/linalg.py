@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidShape, require_int
+from .errors import InvalidInput, InvalidShape, require_array, require_int
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -38,14 +38,9 @@ class Tensor:
     label: str | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.ndim != 2:
-            raise InvalidShape(f"Tensor must be 2-D, got ndim={arr.ndim}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidShape(f"Tensor dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("Tensor values must be finite")
-        self.values = arr
+        self.values = np.ascontiguousarray(require_array("Tensor values", self.values, 2))
+        if 0 in self.values.shape:
+            raise InvalidShape(f"Tensor dimensions must be positive, got {self.values.shape}")
 
     @property
     def rows(self) -> int:
@@ -81,17 +76,15 @@ class SeededRng:
         """One uniform integer in [0, b) per bound b, ``next_u64() % b``: one
         draw per bound, in order. Modulo reduction; its bias is negligible
         for the bounds used here, and determinism is what matters."""
-        b = np.asarray(bounds)
-        if b.ndim != 1 or (b.size and (b.dtype.kind not in "iu" or b.min() <= 0)):
-            raise InvalidInput("randints bounds must be a 1-D vector of positive integers")
+        b = require_array("randints bounds", bounds, 1, integer=True)
+        if b.size and b.min() <= 0:
+            raise InvalidInput("randints bounds must be positive")
         return (self.next_u64s(b.size) % b.astype(np.uint64)).astype(np.int64)
 
     def next_u64s(self, n: int) -> np.ndarray:
         """The next n ``next_u64`` values, as one array. uint64 array
         arithmetic wraps silently, unlike numpy scalars."""
-        n = require_int("draw count", n)
-        if n < 0:
-            raise InvalidInput(f"draw count must be >= 0, got {n}")
+        n = require_int("draw count", n, 0)
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self._state = (self._state + n * _GAMMA) & _MASK
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -105,9 +98,7 @@ class SeededRng:
         stream, so any call pattern with the same total count yields the
         same values.
         """
-        n = require_int("draw count", n)
-        if n < 0:
-            raise InvalidInput(f"draw count must be >= 0, got {n}")
+        n = require_int("draw count", n, 0)
         out = np.empty(n, dtype=np.float64)
         pos = 0
         if self._spare is not None and n > 0:
@@ -134,9 +125,7 @@ class SeededRng:
 
     def derive(self, tag: int) -> "SeededRng":
         """Independent child stream keyed by ``tag``; does not advance self."""
-        tag = require_int("derive tag", tag)
-        if tag < 0:
-            raise InvalidInput(f"derive tag must be >= 0, got {tag}")
+        tag = require_int("derive tag", tag, 0)
         mixed = _mix64((self._state + (tag + 1) * _GAMMA) & _MASK)
         child_seed = _mix64(mixed ^ _DERIVE_SALT)
         return SeededRng(child_seed)

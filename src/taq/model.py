@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged, require_int
+from .errors import (InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged, require_array,
+                     require_int, require_real)
 from .linalg import SeededRng, Tensor
 from .quant import QTensor, quantize_tensor
 from .tasks import EOS, PAD, full_sequence
@@ -211,15 +212,7 @@ def _unpack(x, rows):
 
 
 def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
-    try:
-        arr = np.asarray(tokens)
-    except ValueError as err:  # numpy's refusal of ragged nesting
-        raise InvalidInput(f"tokens must form a rectangular array: {err}") from None
-    if arr.size and arr.dtype.kind not in "iu":
-        raise InvalidInput(f"token ids must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.ndim != 2:
-        raise InvalidInput(f"tokens must be 2-D (batch, seq), got ndim={arr.ndim}")
+    arr = require_array("tokens", tokens, 2, integer=True).astype(np.int64, copy=False)
     if arr.shape[1] > cfg.max_seq:
         raise InvalidInput(
             f"sequence length {arr.shape[1]} exceeds max_seq {cfg.max_seq}")
@@ -375,16 +368,13 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     cfg = model.config
     arr = _validate_tokens(cfg, tokens)
     targets = _validate_tokens(cfg, targets)
-    try:
-        mask = np.asarray(loss_mask, dtype=np.float64)
-    except (TypeError, ValueError) as err:  # ragged nesting or non-numbers
-        raise InvalidInput(f"loss mask must be a rectangular array of numbers: {err}") from None
+    mask = require_array("loss mask", loss_mask)
     if targets.shape != arr.shape or mask.shape != arr.shape:
         raise InvalidInput(f"targets {targets.shape} and loss mask {mask.shape} must have "
                            f"the tokens' shape {arr.shape}")
-    total = mask.sum()  # not finite when any entry is not
-    if not (math.isfinite(total) and total > 0):
-        raise InvalidInput(f"loss mask must be finite and select positions; it sums to {total}")
+    total = mask.sum()
+    if not 0.0 < total < math.inf:  # finite entries can still overflow their sum
+        raise InvalidInput(f"loss mask must select positions; it sums to {total}")
 
     b, t = arr.shape
     rows = np.arange(t) < ((mask != 0) * np.arange(1, t + 1)).max(axis=1)[:, None]
@@ -493,12 +483,10 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     if model.qtensors:
         raise InvalidInput("train the full-precision model, then quantize it; this one "
                            f"has {len(model.qtensors)} quantized weight matrices")
-    if require_int("steps", steps) < 0:
-        raise InvalidInput(f"steps must be >= 0, got {steps}")
-    if require_int("batch_size", batch_size) < 1:
-        raise InvalidInput(f"batch_size must be >= 1, got {batch_size}")
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise InvalidInput(f"lr must be finite and positive, got {lr}")
+    require_int("steps", steps, 0)
+    require_int("batch_size", batch_size, 1)
+    if (lr := require_real("lr", lr)) <= 0.0:
+        raise InvalidInput(f"lr must be positive, got {lr}")
     if steps == 0:
         return {"steps": 0, "initial_loss": None, "final_loss": None}
     if not items:
@@ -546,8 +534,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     padding slot past a row's length is masked until the row overwrites it.
     A row leaves the batch and the cache once it emits EOS or reaches max_seq.
     """
-    if require_int("max_new_tokens", max_new_tokens) < 0:
-        raise InvalidInput(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+    require_int("max_new_tokens", max_new_tokens, 0)
     if any(len(p) == 0 for p in prompts):
         raise InvalidInput("every prompt needs at least one token")
     preds: list[list[int]] = [[] for _ in prompts]

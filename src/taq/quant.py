@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCodes, InvalidInput, InvalidShape, require_int
+from .errors import CorruptCodes, InvalidInput, InvalidShape, require_array, require_int
 from .linalg import Tensor
 
 ADMISSIBLE_BITS = (4, 8, 16)
@@ -25,11 +25,15 @@ DEFAULT_GROUP_SIZE = 128
 SCALE_FLOOR = 1e-12
 
 
-def _check_format(bits: int, group_size: int) -> None:
+def check_bits(bits: int) -> None:
+    """Raises InvalidInput unless ``bits`` is one of ``ADMISSIBLE_BITS``."""
     if require_int("bits", bits) not in ADMISSIBLE_BITS:
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
-    if require_int("group_size", group_size) < 1:
-        raise InvalidInput(f"group_size must be >= 1, got {group_size}")
+
+
+def _check_format(bits: int, group_size: int) -> None:
+    check_bits(bits)
+    require_int("group_size", group_size, 1)
 
 
 def _per_element(per_group: np.ndarray, group_size: int, n: int) -> np.ndarray:
@@ -69,18 +73,10 @@ class QTensor:
 
     def __post_init__(self):
         _check_format(self.bits, self.group_size)
-        try:
-            codes = np.asarray(self.codes)
-            self.scale = np.asarray(self.scale, dtype=np.float64)
-            self.zero_point = np.asarray(self.zero_point, dtype=np.float64)
-        except (TypeError, ValueError) as err:  # ragged nesting or non-numbers
-            raise InvalidInput(f"codes, scales and zero-points must be arrays of numbers: "
-                               f"{err}") from None
-        # an empty list arrives as float64 and is refused by the shape check
-        if codes.size and codes.dtype.kind not in "iu":
-            raise InvalidInput("codes must be integers within 64 bits, got dtype "
-                               f"{codes.dtype}")
-        n = self.rows * self.cols
+        codes = require_array("codes", self.codes, integer=True)
+        self.scale = require_array("scales", self.scale)
+        self.zero_point = require_array("zero-points", self.zero_point)
+        n = require_int("rows", self.rows) * require_int("cols", self.cols)
         n_groups = math.ceil(n / self.group_size)
         if (self.rows < 1 or self.cols < 1 or codes.shape != (n,)
                 or self.scale.shape != (n_groups,) or self.zero_point.shape != (n_groups,)):
@@ -88,10 +84,8 @@ class QTensor:
                 f"{self.rows}x{self.cols} in groups of {self.group_size} needs {n} codes "
                 f"and {n_groups} scales and zero-points, got {codes.shape}, "
                 f"{self.scale.shape} and {self.zero_point.shape}")
-        if not np.all((self.scale > 0.0) & np.isfinite(self.scale)):
-            raise InvalidInput("every scale must be finite and positive")
-        if not np.isfinite(self.zero_point).all():
-            raise InvalidInput("every zero-point must be finite")
+        if not (self.scale > 0.0).all():
+            raise InvalidInput("every scale must be positive")
         max_code = (1 << self.bits) - 1
         if codes.min() < 0 or codes.max() > max_code:
             raise CorruptCodes(f"codes outside [0, {max_code}] for bits={self.bits}")

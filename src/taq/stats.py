@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, InsufficientData, InvalidConfig, InvalidInput, InvalidShape,
-                     require_int)
+                     require_array, require_int, require_real)
 from .linalg import SeededRng
 
 DEFAULT_RESERVOIR_CAPACITY = 256
@@ -43,16 +43,12 @@ class Reservoir:
     """
 
     def __init__(self, capacity: int, width: int, rng: SeededRng):
-        if require_int("reservoir capacity", capacity) < 1:
-            raise InvalidInput(f"reservoir capacity must be >= 1, got {capacity}")
-        if require_int("reservoir width", width) < 1:
-            raise InvalidInput(f"reservoir width must be >= 1, got {width}")
-        self.capacity = capacity
-        self.width = width
+        self.capacity = require_int("reservoir capacity", capacity, 1)
+        self.width = require_int("reservoir width", width, 1)
         self.rng = rng
         self.seen = 0
-        self._buf = np.empty((capacity, width), dtype=np.float64)
-        self._row_shape = (width,)
+        self._buf = np.empty((self.capacity, self.width), dtype=np.float64)
+        self._row_shape = (self.width,)
         self._count = 0
         self._slots: list[int] = []  # drawn slots of the coming offers, the next one last
 
@@ -94,7 +90,7 @@ class StreamingMoments:
     m2: float = 0.0
 
     def update(self, values) -> None:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = require_array("batch", values, finite=False)  # finiteness checked below
         nb = arr.size
         if nb == 0:
             return
@@ -127,9 +123,7 @@ def spectral_entropy(reservoir: Reservoir) -> tuple[float, bool]:
     the spectrum underflowed); the entropy is then 0 by convention."""
     if len(reservoir) < 1:
         raise InsufficientData("reservoir is empty")
-    z = reservoir.rows()
-    if not np.isfinite(z).all():
-        raise InvalidInput("reservoir rows must be finite")
+    z = require_array("reservoir rows", reservoir.rows())
     if (z == z[0]).all():
         return 0.0, True
     z -= z.mean(axis=0, keepdims=True)
@@ -152,9 +146,9 @@ def zscore(values) -> tuple[np.ndarray, bool]:
     Returns (scores, degenerate); a spread below 1e-12 yields all zeros with
     the degenerate flag set.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
-        raise InvalidInput("zscore expects a non-empty finite 1-D vector")
+    arr = require_array("zscore values", values, 1)
+    if arr.size < 1:
+        raise InvalidInput("zscore expects a non-empty vector")
     mean = float(arr.mean())
     std = float(np.sqrt(((arr - mean) ** 2).mean()))
     if std < ZSCORE_STD_FLOOR:
@@ -165,12 +159,14 @@ def zscore(values) -> tuple[np.ndarray, bool]:
 def relevance(z_entropy, z_stability, alpha: float = DEFAULT_ALPHA,
               beta: float = DEFAULT_BETA) -> np.ndarray:
     """Convex combination alpha * z_entropy + beta * z_stability."""
-    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
-        raise InvalidConfig(f"weights must be finite and non-negative, got ({alpha}, {beta})")
+    alpha = require_real("alpha", alpha, InvalidConfig)
+    beta = require_real("beta", beta, InvalidConfig)
+    if alpha < 0.0 or beta < 0.0:
+        raise InvalidConfig(f"weights must be non-negative, got ({alpha}, {beta})")
     if abs(alpha + beta - 1.0) > 1e-9:
         raise InvalidConfig(f"weights must sum to 1, got {alpha} + {beta}")
-    zh = np.asarray(z_entropy, dtype=np.float64)
-    zs = np.asarray(z_stability, dtype=np.float64)
+    zh = require_array("z_entropy", z_entropy)
+    zs = require_array("z_stability", z_stability)
     if zh.shape != zs.shape:
         raise InvalidShape(f"score shapes differ: {zh.shape} vs {zs.shape}")
     return alpha * zh + beta * zs
@@ -196,9 +192,9 @@ def finalize_profile(entropies, entropy_flags, variances, alpha: float,
 
     Returns the LayerStats list plus global degeneracy flags from z-scoring.
     """
-    h = np.asarray(entropies, dtype=np.float64)
-    v = np.asarray(variances, dtype=np.float64)
-    if not h.shape == v.shape == np.shape(entropy_flags):
+    h = require_array("entropies", entropies, 1)
+    v = require_array("variances", variances, 1)
+    if not h.shape == v.shape == require_array("entropy flags", entropy_flags).shape:
         raise InvalidShape("entropy, flag and variance vectors must have equal length")
     s = -v
     zh, zh_degenerate = zscore(h)

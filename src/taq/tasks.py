@@ -76,8 +76,7 @@ def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
     payload token; per modadd attempt an (a, b) pair, repeated until the sum
     clears the reserved ids.
     """
-    if (n := require_int("n", n)) < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
+    n = require_int("n", n, 1)
     rng = SeededRng(task.seed).derive(_GEN_TAG[task.id])
     span = task.vocab - PAYLOAD_MIN
     items = []

@@ -75,7 +75,8 @@ class TestAllocateRank:
             allocate_rank(r, cfg, cost)
         assert exc.value.achieved_cost > 100
 
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "beyond-float"])
     def test_non_finite_budget_rejected(self, budget):
         # None is the only way to say "no budget"
         with pytest.raises(InvalidInput):
@@ -89,7 +90,9 @@ class TestAllocateRank:
         [0.0, 0.1, float("nan"), 0.3, 0.4, 0.5, 0.6, 0.7],
         [0.0, 0.1, 0.2, float("inf"), 0.4, 0.5, 0.6, 0.7],
         [[0.0, 0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8, 0.9]],
-    ], ids=["nan", "inf", "2-d"])
+        list("abcdefgh"),
+        [[0.0, 0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+    ], ids=["nan", "inf", "2-d", "strings", "ragged"])
     def test_bad_relevance_rejected(self, relevance):
         with pytest.raises(InvalidInput):
             rank(relevance)
@@ -128,11 +131,17 @@ class TestPlanCost:
         r = [0.0] * 8
         assert rank(r).cost == 4 * 32 + 16 + 2 * 8 + 4
 
-    @pytest.mark.parametrize("count", [float("nan"), float("inf"), 1.5, -1],
-                             ids=["nan", "inf", "fraction", "negative"])
-    def test_bad_weight_count_rejected(self, count):
+    @pytest.mark.parametrize("call", [
+        lambda: CostModel((100, float("nan"), 100)),
+        lambda: CostModel((100, float("inf"), 100)),
+        lambda: CostModel((100, 1.5, 100)),
+        lambda: CostModel((100, -1, 100)),
+        lambda: CostModel(5),
+        lambda: CostModel((1, 2)).cost(5),
+    ], ids=["nan", "inf", "fraction", "negative", "scalar-counts", "scalar-plan"])
+    def test_bad_weight_count_rejected(self, call):
         with pytest.raises(InvalidInput):
-            CostModel((100, count, 100))
+            call()
 
 
 class TestKnapsackExact:
@@ -181,8 +190,15 @@ class TestUniformPlan:
     lambda: CostModel((1,) * 8).cost([float("nan")] * 8),
     lambda: CostModel((1,) * 8).cost([4.5] * 8),
     lambda: AllocConfig(edge_pin=True),
+    lambda: AllocConfig(f16=True),
+    lambda: AllocConfig(budget=True),
+    lambda: AllocConfig(f16="a"),
+    lambda: AllocConfig(budget="5"),
+    lambda: check_monotone(rank(np.arange(8.0)), list("abcdefgh")),
+    lambda: check_monotone(rank(np.arange(8.0)), [[0.0] * 4, [1.0] * 3]),
 ], ids=["no-layers", "negative-layers", "fractional-layers", "float-bits", "nan-bits",
-        "fractional-bits", "bool-edge-pin"])
+        "fractional-bits", "bool-edge-pin", "bool-f16", "bool-budget", "string-f16",
+        "string-budget", "string-monotone-relevance", "ragged-monotone-relevance"])
 def test_bad_argument_rejected(call):
     with pytest.raises(InvalidInput):
         call()

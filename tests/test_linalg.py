@@ -20,6 +20,11 @@ class TestTensor:
         with pytest.raises(InvalidInput):
             Tensor(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("values", [[[1, 2], [3]], [["a"]]], ids=["ragged", "strings"])
+    def test_rejects_non_numbers(self, values):
+        with pytest.raises(InvalidInput):
+            Tensor(values)
+
     def test_accepts_lists(self):
         t = Tensor([[1, 2], [3, 4]], label="w")
         assert t.rows == 2 and t.cols == 2
@@ -95,8 +100,8 @@ class TestSeededRng:
         with pytest.raises(InvalidInput):
             SeededRng(1).next_u64s(-1)
 
-    @pytest.mark.parametrize("bounds", [[3, 0], [-2], [2.0, 3.0], [[4]]],
-                             ids=["zero", "negative", "float", "2-d"])
+    @pytest.mark.parametrize("bounds", [[3, 0], [-2], [2.0, 3.0], [[4]], [[1], [2, 3]]],
+                             ids=["zero", "negative", "float", "2-d", "ragged"])
     def test_randints_bad_bounds_rejected(self, bounds):
         with pytest.raises(InvalidInput):
             SeededRng(1).randints(bounds)

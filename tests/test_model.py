@@ -514,7 +514,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
-    ], ids=["no-batch", "nan-lr", "inf-lr", "zero-lr"])
+        {"lr": True}, {"lr": "a"},
+    ], ids=["no-batch", "nan-lr", "inf-lr", "zero-lr", "bool-lr", "string-lr"])
     def test_bad_arguments_rejected_before_first_step(self, kwargs):
         model = init_model(SMALL)
         before = {k: v.copy() for k, v in model.params.items()}

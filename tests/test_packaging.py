@@ -71,3 +71,30 @@ def test_every_public_definition_is_reached():
             if node.name not in _names([tree], skip=node) | elsewhere:
                 unreached.append(f"{path.name}:{name}")
     assert not unreached, f"public definitions nothing reaches: {unreached}"
+
+
+def test_errors_go_through_errors_module():
+    # every raise names a class defined in errors.py (inside errors.py, also
+    # the error class a check was handed), and only errors.py catches
+    # TypeError or ValueError: it alone turns numpy's refusals into TaqErrors
+    src = ROOT / "src" / "taq"
+    errors = ast.parse((src / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    handed = {arg.arg for node in ast.walk(errors) if isinstance(node, ast.FunctionDef)
+              for arg, default in zip(node.args.args[::-1], node.args.defaults[::-1])
+              if isinstance(default, ast.Name) and default.id in classes}
+    broad = {"TypeError", "ValueError", "Exception", "BaseException"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        allowed = classes | handed if path.name == "errors.py" else classes
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in allowed):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ExceptHandler) and path.name != "errors.py":
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(c is None or _names([c]) & broad for c in caught):
+                    found.append(f"{path.name}:{node.lineno} catches "
+                                 f"{ast.unparse(node.type) if node.type else 'everything'}")
+    assert not found, found

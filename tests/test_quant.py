@@ -119,8 +119,10 @@ class TestQTensor:
         ("scale", ["a"]),
         ("zero_point", [np.inf]),
         ("zero_point", [np.nan]),
+        ("rows", 1.0),
     ], ids=["fractional-codes", "bool-codes", "codes-beyond-int64", "string-codes",
-            "ragged-codes", "inf-scale", "string-scale", "inf-zero-point", "nan-zero-point"])
+            "ragged-codes", "inf-scale", "string-scale", "inf-zero-point", "nan-zero-point",
+            "float-rows"])
     def test_bad_inputs_rejected(self, field, value):
         # fractional codes used to be truncated, an infinite zero-point gave
         # infinite weights, and huge or non-numeric codes raised bare numpy errors

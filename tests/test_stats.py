@@ -431,8 +431,9 @@ class TestRelevance:
         with pytest.raises(InvalidConfig):
             relevance([0.0], [0.0], -0.1, 1.1)
 
-    @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.5), (0.5, float("nan"))],
-                             ids=["nan-alpha", "nan-beta"])
+    @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.5), (0.5, float("nan")),
+                                             (True, False), ("a", 0.5)],
+                             ids=["nan-alpha", "nan-beta", "bool-weights", "string-alpha"])
     def test_non_finite_weight_rejected(self, alpha, beta):
         with pytest.raises(InvalidConfig):
             relevance([0.0, 1.0], [1.0, 0.0], alpha, beta)
@@ -447,6 +448,23 @@ class TestRelevance:
         rank2 = np.argsort([-s.relevance for s in stats2])
         np.testing.assert_array_equal(rank1, rank2)
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zscore(["a"]),
+    lambda: zscore([[1], [2, 3]]),
+    lambda: relevance(["a"], [1.0]),
+    lambda: finalize_profile([[1.0], [2.0, 3.0]], [False] * 2, [1.0, 2.0], 0.5, 0.5),
+    lambda: finalize_profile(["a", "b"], [False] * 2, [1.0, 2.0], 0.5, 0.5),
+    lambda: finalize_profile([1.0, 2.0], [[False], [True, False]], [1.0, 2.0], 0.5, 0.5),
+    lambda: StreamingMoments().update("abc"),
+    lambda: StreamingMoments().update([[1], [2, 3]]),
+], ids=["string-zscore", "ragged-zscore", "string-relevance", "ragged-entropies",
+        "string-entropies", "ragged-flags", "string-batch", "ragged-batch"])
+def test_non_numeric_input_rejected(call):
+    # each raised a bare numpy ValueError before the checks went through errors.py
+    with pytest.raises(InvalidInput):
+        call()
 
 
 class TestFinalizeProfile:
