@@ -1,9 +1,10 @@
-"""Exception hierarchy, and the three checks of caller input.
+"""Exception hierarchy, and the checks of caller input.
 
 Public entry points check their arguments through ``require_int``,
-``require_real`` and ``require_array``; no other module converts or checks
-caller input itself. So bad input raises a ``TaqError`` subclass, never a
-bare numpy ``ValueError`` or ``TypeError``.
+``require_real``, ``require_array``, ``require_sequence`` and
+``require_instance``; no other module converts or checks caller input
+itself. So bad input raises a ``TaqError`` subclass, never a bare
+``ValueError``, ``TypeError`` or ``AttributeError``.
 
 Exit codes, for the CLI of ROADMAP direction 2: 2 for ``InvalidInput`` and
 its subclass ``InvalidShape``, ``InvalidConfig``, ``InvalidPlan``,
@@ -97,10 +98,11 @@ def require_array(name: str, value, ndim: int | None = None, integer: bool = Fal
                   finite: bool = True) -> np.ndarray:
     """``value`` as a float64 array of finite values (a bool mask reads as
     0/1), or with ``integer`` as an array of its own integer dtype (ids,
-    codes, counts; bools refused). A caller that checks finiteness in a pass
-    of its own gives ``finite=False``. An empty array passes with any dtype,
-    for the caller's shape check. Ragged nesting and non-numeric entries
-    raise InvalidInput, a wrong ``ndim`` (when given) InvalidShape."""
+    codes, counts; bools refused, also one nested among ints in lists or
+    tuples). A caller that checks finiteness in a pass of its own gives
+    ``finite=False``. An empty array passes with any dtype, for the caller's
+    shape check. Ragged nesting and non-numeric entries raise InvalidInput,
+    a wrong ``ndim`` (when given) InvalidShape."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as err:  # numpy's refusal of ragged nesting
@@ -108,6 +110,10 @@ def require_array(name: str, value, ndim: int | None = None, integer: bool = Fal
     if arr.size and arr.dtype.kind not in ("iu" if integer else "biuf"):
         raise InvalidInput(f"{name} must hold {'integers' if integer else 'real numbers'}, "
                            f"got dtype {arr.dtype}")
+    # numpy reads a bool among ints as 0/1; an ndarray's dtype already told
+    if integer and arr.size and not isinstance(value, np.ndarray) \
+            and {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).flat)):
+        raise InvalidInput(f"{name} must hold integers, not bools")
     if ndim is not None and arr.ndim != ndim:
         raise InvalidShape(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if integer:
@@ -116,3 +122,21 @@ def require_array(name: str, value, ndim: int | None = None, integer: bool = Fal
     if finite and not np.isfinite(arr).all():
         raise InvalidInput(f"{name} must be finite")
     return arr
+
+
+def require_sequence(name: str, value, length: int | None = None):
+    """``value`` itself if it is a list, a tuple or an array of at least one
+    dimension, with ``length`` elements when one is given; InvalidInput
+    otherwise (a number, a string, None, a dict)."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
+        raise InvalidInput(f"{name} must be a list, tuple or array, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise InvalidInput(f"{name} must have {length} elements, got {len(value)}")
+    return value
+
+
+def require_instance(name: str, value, cls: type):
+    """``value`` itself if it is a ``cls``; InvalidInput otherwise."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -4,9 +4,10 @@ Pre-norm blocks (LayerNorm, causal multi-head attention, ReLU MLP, residual
 connections), learned positional embeddings, no biases on the linear maps.
 Forward, analytic backward, SGD training with gradient clipping, greedy
 decoding with a per-layer key/value cache, and EM / token-F1 evaluation all
-live here; training computes only the positions its loss can reach.
-Activation capture hooks observe each block's post-residual output without
-altering results.
+live here. Training computes only the positions its loss can reach, and
+keeps for its backward pass only what that pass cannot rebuild with one
+GEMM (see ``loss_and_grads``). Activation capture hooks observe each
+block's post-residual output without altering results.
 
 Every path reads weights from ``model.params`` alone. A quantized model has
 its own parameter dict in which each quantized matrix is its QTensor's
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged, require_array,
-                     require_int, require_real)
+                     require_instance, require_int, require_real, require_sequence)
 from .linalg import SeededRng, Tensor
 from .quant import QTensor, quantize_tensor
 from .tasks import EOS, PAD, full_sequence
@@ -122,7 +123,7 @@ class ToyModel:
         given bitwidths (min-max fit). Its parameter dict is new; entries it
         does not quantize are the parent's arrays, shared."""
         qtensors = {}
-        for layer, bits in layer_bits.items():
+        for layer, bits in require_instance("layer_bits", layer_bits, dict).items():
             if not (0 <= require_int("layer", layer) < self.config.n_layers):
                 raise InvalidPlan(f"layer {layer} outside model with "
                                   f"{self.config.n_layers} layers")
@@ -196,9 +197,13 @@ def _split_heads(x, n_heads):
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _merge_heads(x, rows=None):
+    """(batch, n_heads, t, d_head) heads as (batch, t, d_model), or given
+    ``rows`` as the packed (n, d_model) rows at its True entries, gathered
+    from the heads in one copy."""
     b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+    x = x.transpose(0, 2, 1, 3)
+    return x.reshape(b, t, h * dh) if rows is None else x[rows].reshape(-1, h * dh)
 
 
 def _unpack(x, rows):
@@ -221,6 +226,21 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _heads(model: ToyModel, i: int, a: np.ndarray, rows) -> list[np.ndarray]:
+    """Block i's queries, keys and values from its first LayerNorm output
+    ``a``, each split into heads on the (batch, t) grid."""
+    w, pre = model.params, f"layer{i}.attn."
+    return [_split_heads(_unpack(_linear(a, w[pre + name]), rows), model.config.n_heads)
+            for name in ("wq", "wk", "wv")]
+
+
+def _hidden(model: ToyModel, i: int, m: np.ndarray) -> np.ndarray:
+    """Block i's ReLU output from its second LayerNorm output ``m``."""
+    r = _linear(m, model.params[f"layer{i}.mlp.w1"])
+    np.maximum(r, 0.0, out=r)
+    return r
+
+
 def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=None,
                    cache=None, rows=None) -> np.ndarray:
     """One block over x (batch, t, d_model): its output. ``keep`` is
@@ -230,21 +250,22 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     (batch or 1, t) and attends over the first ``keep.shape[-1]`` slots:
     prefill and decode step alike.
 
-    Only ``loss_and_grads`` passes ``cache``, a dict the block fills with the
-    activations its backward pass reads. Without it every intermediate is
-    dropped once its last reader is done, so inference holds only what the
-    next operation reads. Given ``rows``, a (batch, t) boolean array, x is
-    the packed (n, d_model) rows at its True entries (see ``loss_and_grads``)
-    and attention alone runs on the (batch, t) grid."""
+    Only ``loss_and_grads`` passes ``cache``, a dict the block fills with
+    what its backward pass cannot rebuild with one GEMM: the two LayerNorms'
+    normalized inputs and inverse deviations, and the softmax weights. The
+    backward pass rebuilds the rest through ``_affine``, ``_heads``,
+    ``_merge_heads`` and ``_hidden``, the calls made here. Without ``cache``
+    every intermediate is dropped once its last reader is done, so inference
+    holds only what the next operation reads. Given ``rows``, a (batch, t)
+    boolean array, x is the packed (n, d_model) rows at its True entries (see
+    ``loss_and_grads``) and attention alone runs on the (batch, t) grid."""
     cfg = model.config
     w = model.params
     pre = f"layer{i}."
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
     a = _layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"], cache, "1")
-    qh = _split_heads(_unpack(_linear(a, w[pre + "attn.wq"]), rows), cfg.n_heads)
-    kh = _split_heads(_unpack(_linear(a, w[pre + "attn.wk"]), rows), cfg.n_heads)
-    vh = _split_heads(_unpack(_linear(a, w[pre + "attn.wv"]), rows), cfg.n_heads)
+    qh, kh, vh = _heads(model, i, a, rows)
     del a
     if kv is not None:
         slots = (np.arange(len(x))[:, None], slice(None), pos)  # (batch, t, n_heads, d_head)
@@ -260,20 +281,17 @@ def _block_forward(model: ToyModel, i: int, x: np.ndarray, keep, kv=None, pos=No
     np.exp(p, out=p)
     p *= keep
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    ctx = _merge_heads(p @ vh) if rows is None else _merge_heads(p @ vh)[rows]
     if cache is not None:
-        cache.update(qh=qh, kh=kh, vh=vh, p=p, ctx=ctx)
+        cache["p"] = p
+    ctx = _merge_heads(p @ vh, rows)
     del qh, kh, vh, p
     x1 = _linear(ctx, w[pre + "attn.wo"])
     del ctx
     x1 += x
 
     m = _layer_norm(x1, w[pre + "ln2.g"], w[pre + "ln2.b"], cache, "2")
-    r = _linear(m, w[pre + "mlp.w1"])
+    r = _hidden(model, i, m)
     del m
-    np.maximum(r, 0.0, out=r)
-    if cache is not None:
-        cache["r"] = r
     x1 += _linear(r, w[pre + "mlp.w2"])
     return x1
 
@@ -347,15 +365,19 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     This is the one caller that passes backward caches to ``_blocks`` and
     ``_final_logits``, one dict per block and one for the loss path; every
     inference path passes none and keeps no activation it will not read.
-    Each block's cache holds what its backward pass reads and cannot rebuild
-    without a GEMM: the normalized LayerNorm inputs and inverse deviations,
-    the attention heads, the softmax weights, the attention context and the
-    ReLU output. The LayerNorm outputs are not kept: the backward pass
-    rebuilds each from its normalized input with ``_affine``, the two
-    operations the forward ran, so the gradients are bit for bit those of
-    keeping them. The loss path's arrays (the logits, their softmax, the
-    final LayerNorm's cache) are dropped once read, and each block's
-    backward temporaries at the end of the block.
+    Each block's cache holds only what its backward pass cannot rebuild with
+    one GEMM: the two LayerNorms' normalized inputs and inverse deviations,
+    and the softmax weights. The backward pass rebuilds the rest with the
+    calls the forward made: each LayerNorm output with ``_affine``, q/k/v
+    from the first with ``_heads``, the context as ``p @ vh`` through
+    ``_merge_heads``, and the ReLU output from the second with ``_hidden``.
+    Being the same operations on the same inputs, they give the forward's
+    arrays bit for bit, and so the gradients of keeping them. The softmax
+    weights stay: rebuilding them would cost the qk product and the masked
+    softmax, the most expensive part of a block's attention. The loss path's
+    arrays (the logits, their softmax, the final LayerNorm's cache) are
+    dropped once read, and each block's backward temporaries at the end of
+    the block.
 
     A block's cache is dropped one block late, once the block below has its
     gradients: those sit above it on the heap, so the freed cache is a hole
@@ -421,27 +443,33 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
         c = caches[i]
         pre = f"layer{i}."
         # MLP path
-        du = linear(pre + "mlp.w2", c["r"], dx)
-        du *= c["r"] > 0.0
         m = _affine(c["xhat2"], w[pre + "ln2.g"], w[pre + "ln2.b"])
+        r = _hidden(model, i, m)
+        du = linear(pre + "mlp.w2", r, dx)
+        du *= r > 0.0
+        del r
         dm = linear(pre + "mlp.w1", m, du)
         dx1 = norm(pre + "ln2", dm, c["xhat2"], c["istd2"]) + dx  # residual
         del du, m, dm
 
         # attention path, on the grid
-        dctx_h = _split_heads(_unpack(linear(pre + "attn.wo", c["ctx"], dx1), rows),
-                              cfg.n_heads)
-        dp = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["p"].transpose(0, 1, 3, 2) @ dctx_h
-        dp -= (dp * c["p"]).sum(axis=-1, keepdims=True)
-        dp *= c["p"]  # d(scores)
-        dqh = dp @ c["kh"] * scale
-        dkh = dp.transpose(0, 1, 3, 2) @ c["qh"] * scale
         a = _affine(c["xhat1"], w[pre + "ln1.g"], w[pre + "ln1.b"])
-        da = linear(pre + "attn.wq", a, _merge_heads(dqh)[rows]) + \
-            linear(pre + "attn.wk", a, _merge_heads(dkh)[rows]) + \
-            linear(pre + "attn.wv", a, _merge_heads(dvh)[rows])
-        del a, dctx_h, dp, dqh, dkh, dvh
+        qh, kh, vh = _heads(model, i, a, rows)
+        p = c["p"]
+        dctx_h = _split_heads(_unpack(linear(pre + "attn.wo", _merge_heads(p @ vh, rows), dx1),
+                                      rows), cfg.n_heads)
+        dp = dctx_h @ vh.transpose(0, 1, 3, 2)
+        dvh = p.transpose(0, 1, 3, 2) @ dctx_h
+        del vh, dctx_h
+        dp -= (dp * p).sum(axis=-1, keepdims=True)
+        dp *= p  # d(scores)
+        dqh = dp @ kh * scale
+        dkh = dp.transpose(0, 1, 3, 2) @ qh * scale
+        del qh, kh, p, dp
+        da = linear(pre + "attn.wq", a, _merge_heads(dqh, rows)) + \
+            linear(pre + "attn.wk", a, _merge_heads(dkh, rows)) + \
+            linear(pre + "attn.wv", a, _merge_heads(dvh, rows))
+        del a, dqh, dkh, dvh
         dx = norm(pre + "ln1", da, c["xhat1"], c["istd1"]) + dx1  # residual
         del caches[i + 1:]  # the block above, once this one's gradients sit over it
 
@@ -457,6 +485,14 @@ def _pad_batch(sequences: list[list[int]]) -> list[list[int]]:
     as given and refuses non-integers rather than truncating them."""
     t = max(len(s) for s in sequences)
     return [list(s) + [PAD] * (t - len(s)) for s in sequences]
+
+
+def _check_items(items) -> None:
+    """Refuses ``items`` unless it is a sequence of (prompt, answer) pairs,
+    each a sequence; the tokens themselves are checked where they are read."""
+    for item in require_sequence("items", items):
+        for seq in require_sequence("item", item, 2):
+            require_sequence("prompt and answer", seq)
 
 
 def _training_batch(items, indices):
@@ -489,10 +525,15 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
         raise InvalidInput(f"lr must be positive, got {lr}")
     if steps == 0:
         return {"steps": 0, "initial_loss": None, "final_loss": None}
+    _check_items(items)
     if not items:
         raise InvalidInput("training needs at least one item")
     if any(len(prompt) == 0 for prompt, _ in items):
         raise InvalidInput("every training item needs a prompt of at least one token")
+    # once for the whole run: a batch built from the items is an ndarray, in
+    # which a bool or a float id no longer shows
+    require_array("training tokens", [t for item in items for seq in item for t in seq], 1,
+                  integer=True)
     rng = SeededRng(seed).derive(_TRAIN_TAG)
     window = max(1, min(100, steps // 10))
     losses: list[float] = []
@@ -535,7 +576,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     A row leaves the batch and the cache once it emits EOS or reaches max_seq.
     """
     require_int("max_new_tokens", max_new_tokens, 0)
-    if any(len(p) == 0 for p in prompts):
+    if any(len(require_sequence("prompt", p)) == 0 for p in require_sequence("prompts", prompts)):
         raise InvalidInput("every prompt needs at least one token")
     preds: list[list[int]] = [[] for _ in prompts]
     if not prompts or max_new_tokens == 0:
@@ -583,6 +624,7 @@ def evaluate(model: ToyModel, items: list[tuple[list[int], list[int]]],
              max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> EvalResult:
     """Exact match and token-multiset F1 (both percentages) under greedy
     decoding."""
+    _check_items(items)
     if not items:
         raise InvalidInput("evaluation needs at least one item")
     preds = greedy_decode(model, [p for p, _ in items], max_new_tokens)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCodes, InvalidInput, InvalidShape, require_array, require_int
+from .errors import (CorruptCodes, InvalidInput, InvalidShape, require_array, require_instance,
+                     require_int)
 from .linalg import Tensor
 
 ADMISSIBLE_BITS = (4, 8, 16)
@@ -104,7 +105,7 @@ def quantize_tensor(w: Tensor, bits: int, group_size: int = DEFAULT_GROUP_SIZE) 
     rounding. A group range too wide for float64 is rejected.
     """
     _check_format(bits, group_size)
-    flat = w.values.reshape(-1)
+    flat = require_instance("w", w, Tensor).values.reshape(-1)
     starts = np.arange(0, flat.size, group_size)
     lo = np.minimum.reduceat(flat, starts)
     hi = np.maximum.reduceat(flat, starts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, InsufficientData, InvalidConfig, InvalidInput, InvalidShape,
-                     require_array, require_int, require_real)
+                     require_array, require_instance, require_int, require_real)
 from .linalg import SeededRng
 
 DEFAULT_RESERVOIR_CAPACITY = 256
@@ -108,7 +108,7 @@ class StreamingMoments:
 
 def variance_and_stability(m: StreamingMoments) -> tuple[float, float]:
     """Population variance ``m2 / n`` from the running moments, and its negation."""
-    if m.n < 1:
+    if require_instance("moments", m, StreamingMoments).n < 1:
         raise InsufficientData("no elements accumulated")
     var = m.m2 / m.n
     return var, -var

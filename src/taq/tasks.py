@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInput, require_int
+from .errors import InvalidInput, require_instance, require_int
 from .linalg import SeededRng
 
 PAD, BOS, SEP, EOS = 0, 1, 2, 3
@@ -77,7 +77,7 @@ def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
     clears the reserved ids.
     """
     n = require_int("n", n, 1)
-    rng = SeededRng(task.seed).derive(_GEN_TAG[task.id])
+    rng = SeededRng(require_instance("task", task, ToyTask).seed).derive(_GEN_TAG[task.id])
     span = task.vocab - PAYLOAD_MIN
     items = []
     if task.id == "modadd":

@@ -1,0 +1,109 @@
+"""sha256 digests of what training, the forward pass and decoding compute.
+
+Run from the repository root with the package under test on the path:
+
+    PYTHONPATH=src python3 tests/digest.py
+
+It prints one ``name sha256`` line per output; two checkouts compute the
+same outputs bit for bit when every line matches. The outputs:
+
+- ``train``: the loss and every gradient of each ``loss_and_grads`` call in
+  3 x 100 ``train_toy`` steps, one run per seed 0-2 from ``init_model`` on
+  ``gen_task`` items of the three tasks;
+- ``forward``: the logits of a 64-prompt batch on the seed-0 model after its
+  100 steps, and the block outputs its ``capture`` sees;
+- ``decode.<precision>``: ``greedy_decode`` of 48 held-out prompts on that
+  model at full precision and with every layer at 4, 8 and 16 bits.
+
+It reads nothing from ``bench/``. BLAS is pinned to one thread, as the
+benchmark pins it, so the digests do not depend on how a product is split
+across threads; a run takes about 15 s.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is imported
+
+import numpy as np  # noqa: E402
+
+import taq.model  # noqa: E402
+from taq.model import ModelConfig, forward, greedy_decode, init_model, train_toy  # noqa: E402
+from taq.quant import DEFAULT_GROUP_SIZE  # noqa: E402
+from taq.tasks import PAD, TASK_IDS, ToyTask, gen_task  # noqa: E402
+
+STEPS = 100
+SEEDS = (0, 1, 2)
+
+
+def task_items(seed: int, n: int) -> list[tuple[list[int], list[int]]]:
+    return [it for tid in TASK_IDS for it in gen_task(ToyTask(tid, seed), n)]
+
+
+def update(h, arr) -> None:
+    arr = np.ascontiguousarray(arr)
+    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+
+
+def train_digest() -> tuple[str, taq.model.ToyModel]:
+    """Digest of every loss and gradient over the training runs, and the
+    seed-0 model they leave."""
+    h = hashlib.sha256()
+    inner = taq.model.loss_and_grads
+
+    def recorded(*args):
+        loss, grads = inner(*args)
+        update(h, np.float64(loss))
+        for name, g in grads.items():
+            h.update(name.encode())
+            update(h, g)
+        return loss, grads
+
+    models = []
+    taq.model.loss_and_grads = recorded  # train_toy looks it up at each step
+    try:
+        for seed in SEEDS:
+            model = init_model(ModelConfig(seed=seed))
+            train_toy(model, task_items(100 + seed, 64), steps=STEPS, seed=seed)
+            models.append(model)
+    finally:
+        taq.model.loss_and_grads = inner
+    return h.hexdigest(), models[0]
+
+
+def forward_digest(model) -> str:
+    prompts = [p for p, _ in task_items(7, 22)[:64]]
+    t = max(map(len, prompts))
+    tokens = np.array([list(p) + [PAD] * (t - len(p)) for p in prompts])
+    h = hashlib.sha256()
+
+    def capture(i, x):
+        h.update(str(i).encode())
+        update(h, x)
+
+    update(h, forward(model, tokens, capture=capture))
+    return h.hexdigest()
+
+
+def decode_digest(model) -> str:
+    prompts = [p for p, _ in task_items(8, 16)]
+    return hashlib.sha256(repr(greedy_decode(model, prompts)).encode()).hexdigest()
+
+
+def main() -> None:
+    train, model = train_digest()
+    print("train", train)
+    print("forward", forward_digest(model))
+    print("decode.fp32", decode_digest(model))
+    layers = range(model.config.n_layers)
+    for bits in (4, 8, 16):
+        quantized = model.with_quantized_layers(dict.fromkeys(layers, bits), DEFAULT_GROUP_SIZE)
+        print(f"decode.u{bits}", decode_digest(quantized))
+
+
+if __name__ == "__main__":
+    main()

@@ -138,7 +138,9 @@ class TestPlanCost:
         lambda: CostModel((100, -1, 100)),
         lambda: CostModel(5),
         lambda: CostModel((1, 2)).cost(5),
-    ], ids=["nan", "inf", "fraction", "negative", "scalar-counts", "scalar-plan"])
+        lambda: CostModel((8, True)),
+    ], ids=["nan", "inf", "fraction", "negative", "scalar-counts", "scalar-plan",
+            "bool-among-counts"])
     def test_bad_weight_count_rejected(self, call):
         with pytest.raises(InvalidInput):
             call()
