@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (BudgetInfeasible, InvalidInput, ModelTooSmall, require_array, require_int,
-                     require_real)
+import numpy as np
+
+from .errors import (BudgetInfeasible, InvalidInput, ModelTooSmall, require_array,
+                     require_instance, require_int, require_real)
 from .quant import check_bits
 
 PIN_FULL_BITS = 32
@@ -76,6 +78,8 @@ def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan
     index. The plan is priced by ``cost_model``; raises BudgetInfeasible
     when a budget is set and that cost exceeds it.
     """
+    require_instance("cfg", cfg, AllocConfig)
+    require_instance("cost_model", cost_model, CostModel)
     r = require_array("relevance", relevance, 1)
     n = r.size
     if n < 2 * cfg.edge_pin + 1:
@@ -116,11 +120,8 @@ def check_monotone(plan: BitPlan, relevance) -> bool:
     """True when every non-pinned pair with strictly higher relevance has
     at least as many bits."""
     r = require_array("relevance", relevance, 1)
-    if r.size != plan.n_layers:
+    if r.size != require_instance("plan", plan, BitPlan).n_layers:
         raise InvalidInput(f"relevance has {r.size} entries, plan has {plan.n_layers} layers")
     free = [i for i in range(plan.n_layers) if i not in plan.pinned]
-    for i in free:
-        for j in free:
-            if r[i] > r[j] and plan.bits[i] < plan.bits[j]:
-                return False
-    return True
+    r, b = r[free], np.asarray(plan.bits)[free]
+    return not ((r[:, None] > r) & (b[:, None] < b)).any()

@@ -1,7 +1,9 @@
 """The finite 2-D float64 ``Tensor`` and the deterministic RNG used by every stage.
 
 The RNG is a splitmix-style 64-bit generator with Box-Muller normals, so
-value streams are identical across platforms.
+value streams are identical across platforms. Its whole state is a counter:
+``normals`` keeps no spare draw, so an odd count drops the second normal of
+its last pair.
 """
 
 from __future__ import annotations
@@ -56,17 +58,17 @@ class SeededRng:
 
     ``next_u64s(n)`` is the vector form of ``next_u64``: the same n values
     and the same stream position after them. Single-owner: one consumer at a
-    time. ``derive`` creates an independent child stream from the current
-    state without advancing it. Seeds, counts, bounds and tags may be Python
-    or numpy integers, with the same stream from either; anything else
-    raises InvalidInput.
+    time. ``normals(2k + 1)`` is the prefix of ``normals(2k + 2)``, and
+    both leave the stream at the same position. ``derive`` creates an
+    independent child stream from the current state without advancing it.
+    Seeds, counts, bounds and tags may be Python or numpy integers, with the
+    same stream from either; anything else raises InvalidInput.
     """
 
-    __slots__ = ("_state", "_spare")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = require_int("seed", seed) & _MASK
-        self._spare: float | None = None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -94,34 +96,21 @@ class SeededRng:
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via Box-Muller, vectorized.
 
-        Scalar and batched calls consume the identical underlying u64
-        stream, so any call pattern with the same total count yields the
-        same values.
+        Each pair of u64 draws gives two normals. An odd n drops the second
+        normal of its last pair, so a call always consumes 2 * ceil(n / 2)
+        draws and the next call starts on a fresh pair.
         """
         n = require_int("draw count", n, 0)
-        out = np.empty(n, dtype=np.float64)
-        pos = 0
-        if self._spare is not None and n > 0:
-            out[0] = self._spare
-            self._spare = None
-            pos = 1
-        remaining = n - pos
-        if remaining <= 0:
-            return out
-        pairs = (remaining + 1) // 2
-        z = self.next_u64s(2 * pairs)
+        z = self.next_u64s(2 * ((n + 1) // 2))
         # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
         u1 = ((z[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
         u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
-        interleaved = np.empty(2 * pairs, dtype=np.float64)
-        interleaved[0::2] = r * np.cos(theta)
-        interleaved[1::2] = r * np.sin(theta)
-        out[pos:] = interleaved[:remaining]
-        if remaining % 2 == 1:
-            self._spare = float(interleaved[remaining])
-        return out
+        out = np.empty(z.size, dtype=np.float64)
+        out[0::2] = r * np.cos(theta)
+        out[1::2] = r * np.sin(theta)
+        return out[:n]
 
     def derive(self, tag: int) -> "SeededRng":
         """Independent child stream keyed by ``tag``; does not advance self."""

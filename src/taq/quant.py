@@ -1,13 +1,16 @@
 """Group-wise asymmetric uniform quantization of weight tensors.
 
-Weights are flattened row-major and cut into consecutive groups (last group
-may be short). Each group gets its own scale/zero-point fitted from its
-min/max range. A ``QTensor`` holds the codes, one scale and zero-point per
-group, and the dequantized weights, computed once at construction, that
-execution uses (dequantize-then-multiply model). Codes are integers in
-[0, 2^bits - 1], stored in the narrowest unsigned type that holds them,
-``np.min_scalar_type(2**bits - 1)``: one byte per code at 4 and 8 bits
-(uint8), two at 16 (uint16).
+Weights are flattened row-major and cut into consecutive groups. Fitting,
+encoding and dequantizing work on one ``(n_groups, size)`` view of the flat
+tensor, ``size = min(group_size, n)``, so a group size of at least n gives
+one group. The short last group is padded with its own last element, which
+moves neither its min nor its max. Each group gets its own scale/zero-point
+fitted from its min/max range. A ``QTensor`` holds the codes, one scale and
+zero-point per group, and the dequantized weights, computed once at
+construction, that execution uses (dequantize-then-multiply model). Codes
+are integers in [0, 2^bits - 1], stored in the narrowest unsigned type that
+holds them, ``np.min_scalar_type(2**bits - 1)``: one byte per code at 4 and
+8 bits (uint8), two at 16 (uint16).
 """
 
 from __future__ import annotations
@@ -32,19 +35,14 @@ def check_bits(bits: int) -> None:
         raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS}, got {bits}")
 
 
-def _check_format(bits: int, group_size: int) -> None:
-    check_bits(bits)
-    require_int("group_size", group_size, 1)
-
-
-def _per_element(per_group: np.ndarray, group_size: int, n: int) -> np.ndarray:
-    """Repeat each group's value over its elements; the last group may be short."""
-    return np.repeat(per_group, group_size)[:n]
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # np.round is half-to-even; codes must be platform-stable.
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def _group_view(flat: np.ndarray, group_size: int) -> np.ndarray:
+    """``flat`` as one row per group, the short last group padded with its
+    own last element."""
+    size = min(group_size, flat.size)
+    pad = -flat.size % size
+    if pad:
+        flat = np.concatenate((flat, np.full(pad, flat[-1])))
+    return flat.reshape(-1, size)
 
 
 @dataclass
@@ -73,12 +71,13 @@ class QTensor:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_format(self.bits, self.group_size)
+        check_bits(self.bits)
+        require_int("group_size", self.group_size, 1)
         codes = require_array("codes", self.codes, integer=True)
         self.scale = require_array("scales", self.scale)
         self.zero_point = require_array("zero-points", self.zero_point)
         n = require_int("rows", self.rows) * require_int("cols", self.cols)
-        n_groups = math.ceil(n / self.group_size)
+        n_groups = -(-n // self.group_size)
         if (self.rows < 1 or self.cols < 1 or codes.shape != (n,)
                 or self.scale.shape != (n_groups,) or self.zero_point.shape != (n_groups,)):
             raise InvalidShape(
@@ -91,9 +90,9 @@ class QTensor:
         if codes.min() < 0 or codes.max() > max_code:
             raise CorruptCodes(f"codes outside [0, {max_code}] for bits={self.bits}")
         self.codes = codes.astype(np.min_scalar_type(max_code), copy=False)
-        scale = _per_element(self.scale, self.group_size, n)
-        zero = _per_element(self.zero_point, self.group_size, n)
-        self.weights = (self.codes.astype(np.float64) * scale + zero).reshape(self.rows, self.cols)
+        weights = (_group_view(self.codes.astype(np.float64), self.group_size)
+                   * self.scale[:, None] + self.zero_point[:, None])
+        self.weights = weights.reshape(-1)[:n].reshape(self.rows, self.cols)
 
 
 def quantize_tensor(w: Tensor, bits: int, group_size: int = DEFAULT_GROUP_SIZE) -> QTensor:
@@ -101,14 +100,14 @@ def quantize_tensor(w: Tensor, bits: int, group_size: int = DEFAULT_GROUP_SIZE) 
 
     The scale spans the group range (floored at 1e-12, so a constant group
     round-trips exactly) and the zero-point is the group min. Codes are
-    clamp(round((x - z) / s), 0, 2^bits - 1) with half-away-from-zero
-    rounding. A group range too wide for float64 is rejected.
+    clamp(floor((x - z) / s + 0.5), 0, 2^bits - 1), which rounds ties away
+    from zero since x - z >= 0. A group range too wide for float64 is
+    rejected.
     """
-    _check_format(bits, group_size)
-    flat = require_instance("w", w, Tensor).values.reshape(-1)
-    starts = np.arange(0, flat.size, group_size)
-    lo = np.minimum.reduceat(flat, starts)
-    hi = np.maximum.reduceat(flat, starts)
+    check_bits(bits)
+    require_int("group_size", group_size, 1)
+    groups = _group_view(require_instance("w", w, Tensor).values.reshape(-1), group_size)
+    lo, hi = groups.min(axis=1), groups.max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
     bad = np.flatnonzero(~np.isfinite(span))
@@ -117,15 +116,16 @@ def quantize_tensor(w: Tensor, bits: int, group_size: int = DEFAULT_GROUP_SIZE) 
         raise InvalidInput(f"group {g} range [{lo[g]}, {hi[g]}] is not finite")
     max_code = (1 << bits) - 1
     scale = np.maximum(span / max_code, SCALE_FLOOR)
-    t = (flat - _per_element(lo, group_size, flat.size)) / _per_element(scale, group_size, flat.size)
-    codes = np.clip(_round_half_away(t), 0, max_code).astype(np.min_scalar_type(max_code))
-    return QTensor(codes=codes, scale=scale, zero_point=lo, bits=bits,
-                   group_size=group_size, rows=w.rows, cols=w.cols)
+    t = (groups - lo[:, None]) / scale[:, None]
+    codes = np.clip(np.floor(t + 0.5), 0, max_code).astype(np.min_scalar_type(max_code))
+    return QTensor(codes=codes.reshape(-1)[:w.rows * w.cols], scale=scale, zero_point=lo,
+                   bits=bits, group_size=group_size, rows=w.rows, cols=w.cols)
 
 
 def quant_error(w: Tensor, q: QTensor) -> dict:
     """Relative Frobenius error of a quantization: ||w - q.weights|| / ||w||."""
-    if (w.rows, w.cols) != (q.rows, q.cols):
+    require_instance("w", w, Tensor)
+    if (w.rows, w.cols) != (require_instance("q", q, QTensor).rows, q.cols):
         raise InvalidShape(
             f"shape mismatch: tensor {w.rows}x{w.cols} vs qtensor {q.rows}x{q.cols}")
     delta = w.values - q.weights

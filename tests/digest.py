@@ -13,7 +13,14 @@ same outputs bit for bit when every line matches. The outputs:
 - ``forward``: the logits of a 64-prompt batch on the seed-0 model after its
   100 steps, and the block outputs its ``capture`` sees;
 - ``decode.<precision>``: ``greedy_decode`` of 48 held-out prompts on that
-  model at full precision and with every layer at 4, 8 and 16 bits.
+  model at full precision and with every layer at 4, 8 and 16 bits;
+- ``quant``: the codes, scales, zero-points and weights that
+  ``quantize_tensor`` gives for each quantizable matrix of that model at 4,
+  8 and 16 bits and group sizes 128, 100 (a short last group) and 2**20 (one
+  group per matrix);
+- ``init.default`` and ``init.odd``: every parameter ``init_model`` draws
+  for the default config and for a config whose matrices have an odd
+  number of weights, where ``normals`` drops the second normal of a pair.
 
 It reads nothing from ``bench/``. BLAS is pinned to one thread, as the
 benchmark pins it, so the digests do not depend on how a product is split
@@ -31,12 +38,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import taq.model  # noqa: E402
-from taq.model import ModelConfig, forward, greedy_decode, init_model, train_toy  # noqa: E402
-from taq.quant import DEFAULT_GROUP_SIZE  # noqa: E402
+from taq.linalg import Tensor  # noqa: E402
+from taq.model import (ModelConfig, forward, greedy_decode, init_model,  # noqa: E402
+                       quantizable_names, train_toy)
+from taq.quant import DEFAULT_GROUP_SIZE, quantize_tensor  # noqa: E402
 from taq.tasks import PAD, TASK_IDS, ToyTask, gen_task  # noqa: E402
 
 STEPS = 100
 SEEDS = (0, 1, 2)
+QUANT_GROUP_SIZES = (128, 100, 2**20)
+ODD_CONFIG = ModelConfig(n_layers=2, d_model=9, n_heads=3, vocab=9, max_seq=8)
 
 
 def task_items(seed: int, n: int) -> list[tuple[list[int], list[int]]]:
@@ -94,6 +105,27 @@ def decode_digest(model) -> str:
     return hashlib.sha256(repr(greedy_decode(model, prompts)).encode()).hexdigest()
 
 
+def quant_digest(model) -> str:
+    h = hashlib.sha256()
+    for layer in range(model.config.n_layers):
+        for name in quantizable_names(model.config, layer):
+            for bits in (4, 8, 16):
+                for group_size in QUANT_GROUP_SIZES:
+                    q = quantize_tensor(Tensor(model.params[name]), bits, group_size)
+                    h.update(f"{name} u{bits} g{group_size}".encode())
+                    for arr in (q.codes, q.scale, q.zero_point, q.weights):
+                        update(h, arr)
+    return h.hexdigest()
+
+
+def init_digest(cfg: ModelConfig) -> str:
+    h = hashlib.sha256()
+    for name, values in init_model(cfg).params.items():
+        h.update(name.encode())
+        update(h, values)
+    return h.hexdigest()
+
+
 def main() -> None:
     train, model = train_digest()
     print("train", train)
@@ -103,6 +135,9 @@ def main() -> None:
     for bits in (4, 8, 16):
         quantized = model.with_quantized_layers(dict.fromkeys(layers, bits), DEFAULT_GROUP_SIZE)
         print(f"decode.u{bits}", decode_digest(quantized))
+    print("quant", quant_digest(model))
+    print("init.default", init_digest(ModelConfig()))
+    print("init.odd", init_digest(ODD_CONFIG))
 
 
 if __name__ == "__main__":

@@ -115,6 +115,14 @@ def knapsack_exhaustive(relevance, weight_counts, budget, bit_choices=(4, 8, 16)
     return best
 
 
+def monotone_pairwise_loop(bits, pinned, relevance) -> bool:
+    """True when no pair of unpinned layers has the one of strictly higher
+    relevance on fewer bits, checked pair by pair."""
+    free = [i for i in range(len(bits)) if i not in pinned]
+    return not any(relevance[i] > relevance[j] and bits[i] < bits[j]
+                   for i in free for j in free)
+
+
 def greedy_decode_recompute(model, prompts: list[list[int]],
                             max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> list[list[int]]:
     """Greedy decoding that forwards every active row's whole prefix through

@@ -12,9 +12,10 @@ from taq.alloc import (
     uniform_plan,
 )
 from taq.errors import BudgetInfeasible, InvalidInput, ModelTooSmall
-from taq.linalg import SeededRng
+from taq.linalg import SeededRng, Tensor
+from taq.quant import quant_error, quantize_tensor
 
-from oracles import knapsack_exhaustive, randint
+from oracles import knapsack_exhaustive, monotone_pairwise_loop, randint
 
 
 def sort_then_slice_oracle(relevance, f16, f8, edge_pin):
@@ -110,6 +111,20 @@ class TestAllocateRank:
             plan = rank(r)
             assert check_monotone(plan, r)
 
+    def test_check_monotone_matches_pairwise_loop(self):
+        # arbitrary plans, tied relevance and random pins, so both answers occur
+        rng = SeededRng(71)
+        answers = []
+        for trial in range(300):
+            n = 1 + randint(rng, 9)
+            r = rng.randints(np.full(n, 3)).astype(np.float64)
+            bits = [(4, 8, 16, 32)[k] for k in rng.randints(np.full(n, 4))]
+            pinned = frozenset(i for i in range(n) if randint(rng, 4) == 0)
+            want = monotone_pairwise_loop(bits, pinned, r)
+            assert check_monotone(BitPlan(bits=bits, pinned=pinned, cost=0), r) is want
+            answers.append(want)
+        assert 30 < sum(answers) < 270
+
 
 class TestPlanCost:
     def test_all_4bit_arithmetic(self):
@@ -198,9 +213,15 @@ class TestUniformPlan:
     lambda: AllocConfig(budget="5"),
     lambda: check_monotone(rank(np.arange(8.0)), list("abcdefgh")),
     lambda: check_monotone(rank(np.arange(8.0)), [[0.0] * 4, [1.0] * 3]),
+    lambda: check_monotone(None, np.arange(8.0)),
+    lambda: allocate_rank(np.arange(8.0), None, CostModel((1,) * 8)),
+    lambda: allocate_rank(np.arange(8.0), AllocConfig(), None),
+    lambda: quant_error(np.ones((2, 2)), quantize_tensor(Tensor(np.ones((2, 2))), 8)),
+    lambda: quant_error(Tensor(np.ones((2, 2))), None),
 ], ids=["no-layers", "negative-layers", "fractional-layers", "float-bits", "nan-bits",
         "fractional-bits", "bool-edge-pin", "bool-f16", "bool-budget", "string-f16",
-        "string-budget", "string-monotone-relevance", "ragged-monotone-relevance"])
+        "string-budget", "string-monotone-relevance", "ragged-monotone-relevance", "no-plan",
+        "no-alloc-config", "no-cost-model", "array-not-tensor", "no-qtensor"])
 def test_bad_argument_rejected(call):
     with pytest.raises(InvalidInput):
         call()

@@ -40,11 +40,20 @@ class TestSeededRng:
         b = SeededRng(42).normals(8)
         np.testing.assert_array_equal(a, b)
 
-    def test_scalar_batch_equivalence(self):
-        batched = SeededRng(9).normals(7)
-        scalar_rng = SeededRng(9)
-        singles = np.array([scalar_rng.normals(1)[0] for _ in range(7)])
-        np.testing.assert_array_equal(batched, singles)
+    @pytest.mark.parametrize("k", [0, 1, 3, 50])
+    def test_odd_count_is_prefix_of_next_even(self, k):
+        odd, even = SeededRng(9).normals(2 * k + 1), SeededRng(9).normals(2 * k + 2)
+        np.testing.assert_array_equal(odd, even[:-1])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
+    def test_normals_consume_whole_pairs(self, n):
+        # the state is the counter alone: n normals move it 2 * ceil(n / 2)
+        # draws on, and the next call starts on a fresh pair
+        rng, counter = SeededRng(9), SeededRng(9)
+        rng.normals(n)
+        counter.next_u64s(2 * ((n + 1) // 2))
+        assert rng.next_u64s(3).tolist() == counter.next_u64s(3).tolist()
+        np.testing.assert_array_equal(rng.normals(2), counter.normals(2))
 
     def test_moments(self):
         draws = SeededRng(123).normals(100_000)

@@ -164,6 +164,16 @@ class TestQuantizeTensor:
         qt = quantize_tensor(Tensor([[1.0, 2.0], [3.0, 4.0]]), bits=8, group_size=4)
         assert qt.scale.size == qt.zero_point.size == 1
 
+    @pytest.mark.parametrize("group_size", [2**40, 2**62], ids=["2**40", "2**62"])
+    def test_group_past_tensor_is_one_group(self, group_size):
+        # such a group size used to size per-element arrays by itself
+        qt = quantize_tensor(Tensor(np.ones((2, 2))), 4, group_size)
+        assert qt.scale.shape == qt.zero_point.shape == (1,)
+        np.testing.assert_array_equal(qt.weights, np.ones((2, 2)))
+        given = QTensor(codes=[0], scale=[1.0], zero_point=[0.0], bits=4,
+                        group_size=group_size, rows=1, cols=1)
+        assert given.scale.shape == (1,) and given.weights.tolist() == [[0.0]]
+
     def test_partition_arithmetic(self):
         # groups of 128, 128 and 44: each zero-point is its group's first
         # (smallest) value of the increasing ramp, each scale its own span
