@@ -16,7 +16,9 @@ dequantized weights and every other entry is the parent's array.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -38,6 +40,8 @@ DEFAULT_MAX_NEW_TOKENS = 16
 
 _INIT_TAG = 11
 _TRAIN_TAG = 13
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt options
+_MALLOC_KEEP_BYTES = 32 * 2**20  # glibc's 64-bit ceiling for its dynamic mmap threshold
 
 
 @dataclass(frozen=True)
@@ -306,7 +310,7 @@ def _final_logits(model: ToyModel, x: np.ndarray, cache=None) -> np.ndarray:
 def embed(model: ToyModel, tokens, pos=None) -> np.ndarray:
     """Token plus positional embeddings of ``tokens`` at positions ``pos``
     (batch or 1, t), by default [0, t) for every row."""
-    arr = _validate_tokens(model.config, tokens)
+    arr = _validate_tokens(require_instance("model", model, ToyModel).config, tokens)
     pos = slice(arr.shape[1]) if pos is None else pos
     return model.params["embed.tok"][arr] + model.params["embed.pos"][pos]
 
@@ -342,7 +346,7 @@ def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
 
 def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray:
     """Logits from a cached hidden state entering block ``start_layer``."""
-    x = _blocks(model, x, start_layer, model.config.n_layers)
+    x = _blocks(require_instance("model", model, ToyModel), x, start_layer, model.config.n_layers)
     return _final_logits(model, x)
 
 
@@ -376,18 +380,12 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     weights stay: rebuilding them would cost the qk product and the masked
     softmax, the most expensive part of a block's attention. The loss path's
     arrays (the logits, their softmax, the final LayerNorm's cache) are
-    dropped once read, and each block's backward temporaries at the end of
-    the block.
-
-    A block's cache is dropped one block late, once the block below has its
-    gradients: those sit above it on the heap, so the freed cache is a hole
-    that the next allocations reuse. Dropped as soon as its own gradients
-    are out, it lies at the top of the heap, glibc's allocator returns that
-    top to the system, and the next step faults it back in: about 5x the
-    minor page faults of a ``train_toy`` run. ``train_toy`` keeps one step's
-    gradient dict until the next step's exists for the same reason.
+    dropped once read, each block's backward temporaries at the end of the
+    block, and each block's cache once its gradients are out. The next call
+    reuses that memory rather than faulting it back in under the allocator
+    policy ``train_toy`` sets, which lasts for the rest of the process.
     """
-    cfg = model.config
+    cfg = require_instance("model", model, ToyModel).config
     arr = _validate_tokens(cfg, tokens)
     targets = _validate_tokens(cfg, targets)
     mask = require_array("loss mask", loss_mask)
@@ -416,7 +414,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     loss = float(-(mask * picked).sum() / total)
 
     dlogits /= sez  # the softmax
-    np.add.at(dlogits, (np.arange(len(tgt)), tgt), -1.0)
+    dlogits[np.arange(len(tgt)), tgt] -= 1.0
     dlogits *= (mask[rows] / total)[:, None]
 
     w = model.params
@@ -440,7 +438,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     del dlogits, fcache, y, dy
 
     for i in reversed(range(cfg.n_layers)):
-        c = caches[i]
+        c = caches.pop()  # block i's; dropped once its gradients are out
         pre = f"layer{i}."
         # MLP path
         m = _affine(c["xhat2"], w[pre + "ln2.g"], w[pre + "ln2.b"])
@@ -471,7 +469,6 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
             linear(pre + "attn.wv", a, _merge_heads(dvh, rows))
         del a, dqh, dkh, dvh
         dx = norm(pre + "ln1", da, c["xhat1"], c["istd1"]) + dx1  # residual
-        del caches[i + 1:]  # the block above, once this one's gradients sit over it
 
     grads["embed.tok"] = np.zeros_like(w["embed.tok"])
     np.add.at(grads["embed.tok"], arr[rows], dx)
@@ -515,8 +512,15 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     """Plain SGD with global gradient-norm clipping at 1.0, in place.
 
     Returns a summary with the initial and final running losses.
+
+    On glibc it first sets malloc's trim and mmap thresholds to 32 MiB
+    (``_MALLOC_KEEP_BYTES``) for the rest of the process, so a step's freed
+    arrays stay in the heap for the next step to reuse; elsewhere it sets
+    nothing. With glibc's defaults, the top of the heap goes back to the
+    system after each step and the next step faults it back in: tens of
+    thousands of page faults per 100 steps.
     """
-    if model.qtensors:
+    if require_instance("model", model, ToyModel).qtensors:
         raise InvalidInput("train the full-precision model, then quantize it; this one "
                            f"has {len(model.qtensors)} quantized weight matrices")
     require_int("steps", steps, 0)
@@ -534,20 +538,26 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     # which a bool or a float id no longer shows
     require_array("training tokens", [t for item in items for seq in item for t in seq], 1,
                   integer=True)
+    if sys.platform.startswith("linux") and hasattr(libc := ctypes.CDLL(None), "mallopt"):
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # both: setting either one alone pins the other at glibc's 128 KiB default
+        for option in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+            libc.mallopt(option, _MALLOC_KEEP_BYTES)
     rng = SeededRng(seed).derive(_TRAIN_TAG)
     window = max(1, min(100, steps // 10))
     losses: list[float] = []
     for step in range(steps):
         idx = rng.randints(np.full(batch_size, len(items))).tolist()
         tokens, targets, mask = _training_batch(items, idx)
-        # rebinds grads only once the new dict exists; see loss_and_grads
         loss, grads = loss_and_grads(model, tokens, targets, mask)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss} at step {step}")
         gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         clip = min(1.0, GRAD_CLIP_NORM / gnorm) if gnorm > 0 else 1.0
         for name, g in grads.items():
-            model.params[name] -= lr * clip * g
+            g *= lr * clip
+            model.params[name] -= g
+        del grads, g
         losses.append(loss)
     return {
         "steps": steps,
@@ -575,13 +585,13 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     padding slot past a row's length is masked until the row overwrites it.
     A row leaves the batch and the cache once it emits EOS or reaches max_seq.
     """
+    cfg = require_instance("model", model, ToyModel).config
     require_int("max_new_tokens", max_new_tokens, 0)
     if any(len(require_sequence("prompt", p)) == 0 for p in require_sequence("prompts", prompts)):
         raise InvalidInput("every prompt needs at least one token")
     preds: list[list[int]] = [[] for _ in prompts]
     if not prompts or max_new_tokens == 0:
         return preds
-    cfg = model.config
     active = np.arange(len(prompts))
     pos = np.array([len(p) - 1 for p in prompts])  # each row's newest token
     # one cache per layer, (key/value, row, head, position, d_head) up to the
@@ -624,6 +634,7 @@ def evaluate(model: ToyModel, items: list[tuple[list[int], list[int]]],
              max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> EvalResult:
     """Exact match and token-multiset F1 (both percentages) under greedy
     decoding."""
+    require_instance("model", model, ToyModel)
     _check_items(items)
     if not items:
         raise InvalidInput("evaluation needs at least one item")

@@ -1,5 +1,7 @@
 import math
 import pathlib
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
@@ -70,6 +72,12 @@ def training_batches(n, size=16, seed=5):
     rng = SeededRng(seed)
     return [_training_batch(items, rng.randints(np.full(size, len(items))).tolist())
             for _ in range(n)]
+
+
+def bench_training_items(seed=5):
+    """1024 items of each task, as many as the benchmark's ``train`` workload
+    draws."""
+    return [it for tid in TASK_IDS for it in gen_task(ToyTask(tid, seed), 1024)]
 
 
 def small_batch(cfg, rng_seed=3, batch=2, seq=6):
@@ -165,6 +173,23 @@ def test_non_integer_argument_rejected(call):
 def test_malformed_structured_argument_rejected(call):
     # each used to escape as a bare TypeError or AttributeError
     with pytest.raises(TaqError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: embed(None, [[1, 2]]),
+    lambda: forward(None, [[1, 2]]),
+    lambda: forward_prefix(None, [[1, 2]], 1),
+    lambda: forward_from(None, np.zeros((1, 2, SMALL.d_model)), 1),
+    lambda: loss_and_grads(None, [[1, 2]], [[2, 3]], [[1.0, 1.0]]),
+    lambda: train_toy(None, _copy_items(), steps=1),
+    lambda: greedy_decode(None, [[1, 2]]),
+    lambda: evaluate(None, _copy_items()),
+], ids=["embed", "forward", "forward_prefix", "forward_from", "loss_and_grads", "train_toy",
+        "greedy_decode", "evaluate"])
+def test_non_model_argument_rejected(call):
+    # each used to escape as a bare AttributeError
+    with pytest.raises(InvalidInput, match="model must be a ToyModel"):
         call()
 
 
@@ -568,6 +593,25 @@ class TestTraining:
             train_toy(model, _copy_items(8) + [bad], steps=1, batch_size=1)
         for name in before:
             np.testing.assert_array_equal(model.params[name], before[name])
+
+    def test_traced_peak(self):
+        # 20 default-config steps: near 5.2 MiB when each step frees its
+        # gradients after the update, against 8.7 MiB when a step's gradient
+        # dict was kept until the next step's existed
+        model, items = init_model(ModelConfig()), bench_training_items()
+        assert traced_peak(lambda: train_toy(model, items, steps=20, seed=5)) <= 7 * MIB
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator policy train_toy sets is glibc's mallopt")
+    def test_steps_reuse_freed_memory(self):
+        # a warmed-up run of 20 steps takes a handful of minor page faults;
+        # under glibc's default trim and mmap thresholds it took 11-29k
+        items = bench_training_items()
+        train_toy(init_model(ModelConfig()), items, steps=20, seed=5)
+        model = init_model(ModelConfig())
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_toy(model, items, steps=20, seed=6)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
     def test_batch_indices_match_a_randint_loop(self, monkeypatch):
         # one randints draw per step gives the indices of one randint per index
