@@ -3,8 +3,9 @@ entropy, stability and z-scored relevance.
 
 Entropy is the Shannon entropy of the normalized eigenvalue spectrum of the
 centered activation Gram matrix, from one SVD of the centered reservoir rows;
-stability is the negative element variance. Both are z-scored across layers
-and combined into a relevance score that drives bit allocation.
+stability is the negative element variance. ``finalize_profile`` alone
+z-scores both across layers and combines them into the relevance score
+alpha * z(entropy) + beta * z(stability) that drives bit allocation.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def spectral_entropy(reservoir: Reservoir) -> tuple[float, bool]:
 
     Returns (entropy, degenerate). Degenerate means all rows are equal (or
     the spectrum underflowed); the entropy is then 0 by convention."""
-    if len(reservoir) < 1:
+    if len(require_instance("reservoir", reservoir, Reservoir)) < 1:
         raise InsufficientData("reservoir is empty")
     z = require_array("reservoir rows", reservoir.rows())
     if (z == z[0]).all():
@@ -140,36 +141,14 @@ def spectral_entropy(reservoir: Reservoir) -> tuple[float, bool]:
     return max(0.0, entropy), False  # on a tie max keeps 0.0, so -0.0 comes out +0.0
 
 
-def zscore(values) -> tuple[np.ndarray, bool]:
-    """(v - mean) / population_std across layers.
-
-    Returns (scores, degenerate); a spread below 1e-12 yields all zeros with
-    the degenerate flag set.
-    """
-    arr = require_array("zscore values", values, 1)
-    if arr.size < 1:
-        raise InvalidInput("zscore expects a non-empty vector")
+def _zscore(arr: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(v - mean) / population std across layers; a spread below
+    ``ZSCORE_STD_FLOOR`` gives all zeros and the degenerate flag."""
     mean = float(arr.mean())
     std = float(np.sqrt(((arr - mean) ** 2).mean()))
     if std < ZSCORE_STD_FLOOR:
         return np.zeros_like(arr), True
     return (arr - mean) / std, False
-
-
-def relevance(z_entropy, z_stability, alpha: float = DEFAULT_ALPHA,
-              beta: float = DEFAULT_BETA) -> np.ndarray:
-    """Convex combination alpha * z_entropy + beta * z_stability."""
-    alpha = require_real("alpha", alpha, InvalidConfig)
-    beta = require_real("beta", beta, InvalidConfig)
-    if alpha < 0.0 or beta < 0.0:
-        raise InvalidConfig(f"weights must be non-negative, got ({alpha}, {beta})")
-    if abs(alpha + beta - 1.0) > 1e-9:
-        raise InvalidConfig(f"weights must sum to 1, got {alpha} + {beta}")
-    zh = require_array("z_entropy", z_entropy)
-    zs = require_array("z_stability", z_stability)
-    if zh.shape != zs.shape:
-        raise InvalidShape(f"score shapes differ: {zh.shape} vs {zs.shape}")
-    return alpha * zh + beta * zs
 
 
 @dataclass
@@ -190,16 +169,28 @@ def finalize_profile(entropies, entropy_flags, variances, alpha: float,
                      beta: float) -> tuple[list[LayerStats], dict]:
     """Combine per-layer raw statistics into the relevance profile.
 
-    Returns the LayerStats list plus global degeneracy flags from z-scoring.
+    Entropy and stability (the negated variance) are z-scored across layers,
+    and each layer's relevance is alpha * z_entropy + beta * z_stability;
+    alpha and beta must be non-negative and sum to 1 (InvalidConfig
+    otherwise). Returns the LayerStats list plus the two z-scores'
+    degeneracy flags.
     """
     h = require_array("entropies", entropies, 1)
     v = require_array("variances", variances, 1)
     if not h.shape == v.shape == require_array("entropy flags", entropy_flags).shape:
         raise InvalidShape("entropy, flag and variance vectors must have equal length")
+    if h.size < 1:
+        raise InvalidInput("finalize_profile expects at least one layer")
+    alpha = require_real("alpha", alpha, InvalidConfig)
+    beta = require_real("beta", beta, InvalidConfig)
+    if alpha < 0.0 or beta < 0.0:
+        raise InvalidConfig(f"weights must be non-negative, got ({alpha}, {beta})")
+    if abs(alpha + beta - 1.0) > 1e-9:
+        raise InvalidConfig(f"weights must sum to 1, got {alpha} + {beta}")
     s = -v
-    zh, zh_degenerate = zscore(h)
-    zs, zs_degenerate = zscore(s)
-    r = relevance(zh, zs, alpha, beta)
+    zh, zh_degenerate = _zscore(h)
+    zs, zs_degenerate = _zscore(s)
+    r = alpha * zh + beta * zs
     stats = [
         LayerStats(layer=i, entropy=float(h[i]), variance=float(v[i]),
                    stability=float(s[i]), z_entropy=float(zh[i]),
@@ -210,4 +201,3 @@ def finalize_profile(entropies, entropy_flags, variances, alpha: float,
     flags = {"z_entropy_degenerate": zh_degenerate,
              "z_stability_degenerate": zs_degenerate}
     return stats, flags
-

@@ -9,6 +9,8 @@ The tokenizer is the identity over integer ids. Ids 0..3 are reserved
 so one jointly trained model can serve all three tasks; payload tokens are
 drawn from [7, vocab). modadd answers are taken mod vocab, with operand
 pairs whose sum collides with a reserved id rejected at generation time.
+``gen_task`` is the one place that writes the prompt layout (BOS, task
+marker, payload, SEP) and the three answer rules.
 
 ``gen_task`` draws its u64 values in blocks (``SeededRng.next_u64s``) and
 walks them once per item; the items are the ones one ``next_u64() % bound``
@@ -53,22 +55,6 @@ class ToyTask:
             raise InvalidInput("payload length bounds must satisfy 1 <= min <= max")
 
 
-def copy_answer(payload: list[int]) -> list[int]:
-    return list(payload)
-
-
-def modadd_answer(a: int, b: int, vocab: int) -> list[int]:
-    return [(a + b) % vocab]
-
-
-def sortseq_answer(payload: list[int]) -> list[int]:
-    return sorted(payload)
-
-
-def make_prompt(task_id: str, payload: list[int]) -> list[int]:
-    return [BOS, TASK_MARKER[task_id], *payload, SEP]
-
-
 def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
     """n deterministic (prompt, answer) pairs for the task.
 
@@ -79,24 +65,25 @@ def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
     n = require_int("n", n, 1)
     rng = SeededRng(require_instance("task", task, ToyTask).seed).derive(_GEN_TAG[task.id])
     span = task.vocab - PAYLOAD_MIN
+    marker = TASK_MARKER[task.id]
     items = []
     if task.id == "modadd":
         while len(items) < n:  # one attempt per missing item, until n are accepted
             a, b = (PAYLOAD_MIN + rng.next_u64s(2 * (n - len(items))) % span).reshape(-1, 2).T
-            ok = modadd_answer(a, b, task.vocab)[0] >= N_RESERVED
-            items += [(make_prompt(task.id, [x, y]), modadd_answer(x, y, task.vocab))
+            ok = (a + b) % task.vocab >= N_RESERVED
+            items += [([BOS, marker, x, y, SEP], [(x + y) % task.vocab])
                       for x, y in zip(a[ok].tolist(), b[ok].tolist())]
         return items
     # an item takes at most 1 + max_payload draws; the unread tail is dropped
     z = rng.next_u64s(n * (1 + task.max_payload))
     lengths = (task.min_payload + z % (task.max_payload - task.min_payload + 1)).tolist()
     tokens = (PAYLOAD_MIN + z % span).tolist()
-    answer = copy_answer if task.id == "copy" else sortseq_answer
+    sort = task.id == "sortseq"
     pos = 0
     for _ in range(n):
         payload = tokens[pos + 1: pos + 1 + lengths[pos]]
         pos += 1 + lengths[pos]
-        items.append((make_prompt(task.id, payload), answer(payload)))
+        items.append(([BOS, marker, *payload, SEP], sorted(payload) if sort else payload))
     return items
 
 

@@ -20,7 +20,12 @@ same outputs bit for bit when every line matches. The outputs:
   group per matrix);
 - ``init.default`` and ``init.odd``: every parameter ``init_model`` draws
   for the default config and for a config whose matrices have an odd
-  number of weights, where ``normals`` drops the second normal of a pair.
+  number of weights, where ``normals`` drops the second normal of a pair;
+- ``profile``: per task, every ``LayerStats`` field, the z-score flags and
+  the ``allocate_rank`` plan of that model, from the ``spectral_entropy``
+  of a ``Reservoir`` and the ``variance_and_stability`` of a
+  ``StreamingMoments`` per layer, both fed the non-pad rows ``capture``
+  sees over 64 fixed prompts.
 
 It reads nothing from ``bench/``. BLAS is pinned to one thread, as the
 benchmark pins it, so the digests do not depend on how a product is split
@@ -38,10 +43,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import taq.model  # noqa: E402
-from taq.linalg import Tensor  # noqa: E402
+from taq.alloc import AllocConfig, CostModel, allocate_rank  # noqa: E402
+from taq.linalg import SeededRng, Tensor  # noqa: E402
 from taq.model import (ModelConfig, forward, greedy_decode, init_model,  # noqa: E402
-                       quantizable_names, train_toy)
+                       layer_weight_counts, quantizable_names, train_toy)
 from taq.quant import DEFAULT_GROUP_SIZE, quantize_tensor  # noqa: E402
+from taq.stats import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_RESERVOIR_CAPACITY,  # noqa: E402
+                       Reservoir, StreamingMoments, finalize_profile, spectral_entropy,
+                       variance_and_stability)
 from taq.tasks import PAD, TASK_IDS, ToyTask, gen_task  # noqa: E402
 
 STEPS = 100
@@ -86,10 +95,13 @@ def train_digest() -> tuple[str, taq.model.ToyModel]:
     return h.hexdigest(), models[0]
 
 
-def forward_digest(model) -> str:
-    prompts = [p for p, _ in task_items(7, 22)[:64]]
+def padded(prompts) -> np.ndarray:
     t = max(map(len, prompts))
-    tokens = np.array([list(p) + [PAD] * (t - len(p)) for p in prompts])
+    return np.array([list(p) + [PAD] * (t - len(p)) for p in prompts])
+
+
+def forward_digest(model) -> str:
+    tokens = padded([p for p, _ in task_items(7, 22)[:64]])
     h = hashlib.sha256()
 
     def capture(i, x):
@@ -118,6 +130,33 @@ def quant_digest(model) -> str:
     return h.hexdigest()
 
 
+def profile_digest(model) -> str:
+    cfg = model.config
+    cost_model = CostModel(layer_weight_counts(cfg))
+    h = hashlib.sha256()
+    for k, tid in enumerate(TASK_IDS):
+        rng = SeededRng(k)
+        reservoirs = [Reservoir(DEFAULT_RESERVOIR_CAPACITY, cfg.d_model, rng.derive(i))
+                      for i in range(cfg.n_layers)]
+        moments = [StreamingMoments() for _ in range(cfg.n_layers)]
+        tokens = padded([p for p, _ in gen_task(ToyTask(tid, 9), 64)])
+        mask = tokens != PAD  # no prompt token is PAD
+
+        def capture(i, x):
+            rows = x[mask]
+            for row in rows:
+                reservoirs[i].offer(row)
+            moments[i].update(rows)
+
+        forward(model, tokens, capture=capture)
+        entropies, flags = zip(*map(spectral_entropy, reservoirs))
+        variances = [variance_and_stability(m)[0] for m in moments]
+        stats, zflags = finalize_profile(entropies, flags, variances, DEFAULT_ALPHA, DEFAULT_BETA)
+        plan = allocate_rank([s.relevance for s in stats], AllocConfig(), cost_model)
+        h.update(repr((tid, [vars(s) for s in stats], zflags, plan.bits, plan.cost)).encode())
+    return h.hexdigest()
+
+
 def init_digest(cfg: ModelConfig) -> str:
     h = hashlib.sha256()
     for name, values in init_model(cfg).params.items():
@@ -138,6 +177,7 @@ def main() -> None:
     print("quant", quant_digest(model))
     print("init.default", init_digest(ModelConfig()))
     print("init.odd", init_digest(ODD_CONFIG))
+    print("profile", profile_digest(model))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,7 @@ import numpy as np
 from taq.errors import InvalidInput
 from taq.linalg import SeededRng
 from taq.model import DEFAULT_MAX_NEW_TOKENS, LN_EPS, _pad_batch, forward
-from taq.tasks import (_GEN_TAG, EOS, N_RESERVED, PAYLOAD_MIN, copy_answer, make_prompt,
-                       modadd_answer, sortseq_answer)
+from taq.tasks import _GEN_TAG, BOS, EOS, N_RESERVED, PAYLOAD_MIN, SEP, TASK_MARKER
 
 
 def randint(rng: SeededRng, n: int) -> int:
@@ -177,15 +176,15 @@ def gen_task_loop(task, n: int) -> list[tuple[list[int], list[int]]]:
             while True:
                 a = PAYLOAD_MIN + randint(rng, span)
                 b = PAYLOAD_MIN + randint(rng, span)
-                answer = modadd_answer(a, b, task.vocab)
+                answer = [(a + b) % task.vocab]
                 if answer[0] >= N_RESERVED:
                     break
             payload = [a, b]
         else:
             length = task.min_payload + randint(rng, task.max_payload - task.min_payload + 1)
             payload = [PAYLOAD_MIN + randint(rng, span) for _ in range(length)]
-            answer = copy_answer(payload) if task.id == "copy" else sortseq_answer(payload)
-        items.append((make_prompt(task.id, payload), answer))
+            answer = list(payload) if task.id == "copy" else sorted(payload)
+        items.append(([BOS, TASK_MARKER[task.id], *payload, SEP], answer))
     return items
 
 

@@ -11,11 +11,11 @@ from taq.stats import (
     EIG_KEEP_REL,
     Reservoir,
     StreamingMoments,
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
     finalize_profile,
-    relevance,
     spectral_entropy,
     variance_and_stability,
-    zscore,
 )
 
 from oracles import (charpoly_roots, gram_triple_loop, randint, reservoir_reference,
@@ -262,6 +262,11 @@ class TestSpectralEntropy:
         with pytest.raises(InsufficientData):
             spectral_entropy(Reservoir(4, 2, SeededRng(0)))
 
+    @pytest.mark.parametrize("reservoir", [None, np.ones((3, 4))], ids=["none", "ndarray"])
+    def test_non_reservoir_rejected(self, reservoir):
+        with pytest.raises(InvalidInput):
+            spectral_entropy(reservoir)
+
 
 def entropy_of(eigvals, total=None):
     """Shannon entropy of an oracle spectrum over ``total`` (default: its sum),
@@ -382,61 +387,79 @@ class TestEntropyMatchesEigenOracles:
             entropy(np.eye(3))
 
 
+def profile(entropies, variances=None, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
+    """finalize_profile's z_entropy, z_stability and relevance columns and
+    its flags; ``variances`` default to the entropies' count of zeros."""
+    variances = [0.0] * len(entropies) if variances is None else variances
+    stats, flags = finalize_profile(entropies, [False] * len(entropies), variances, alpha, beta)
+    columns = (np.array([getattr(s, f) for s in stats])
+               for f in ("z_entropy", "z_stability", "relevance"))
+    return (*columns, flags)
+
+
 class TestZscore:
+    """The z-scores finalize_profile takes of entropy and stability."""
+
     def test_zero_spread_degenerate(self):
-        out, degenerate = zscore([5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
-        assert degenerate
+        zh, zs, _, flags = profile([5.0, 5.0, 5.0], [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(zh, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(zs, [0.0, 0.0, 0.0])
+        assert flags == {"z_entropy_degenerate": True, "z_stability_degenerate": True}
 
     def test_symmetric_pair(self):
-        out, degenerate = zscore([-3.0, 3.0])
-        np.testing.assert_allclose(out, [-1.0, 1.0])
-        assert not degenerate
+        zh, zs, _, flags = profile([-3.0, 3.0], [3.0, -3.0])  # stability is -variance
+        np.testing.assert_allclose(zh, [-1.0, 1.0])
+        np.testing.assert_allclose(zs, [-1.0, 1.0])
+        assert flags == {"z_entropy_degenerate": False, "z_stability_degenerate": False}
 
     def test_three_point(self):
-        out, _ = zscore([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(out, [-1.2247, 0.0, 1.2247], atol=1e-4)
+        zh, zs, _, _ = profile([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(zh, [-1.2247, 0.0, 1.2247], atol=1e-4)
+        np.testing.assert_allclose(zs, [1.2247, 0.0, -1.2247], atol=1e-4)
 
     def test_output_moments(self):
         rng = SeededRng(13)
-        out, _ = zscore(rng.normals(64) * 5 + 11)
-        assert abs(out.mean()) <= 1e-9
-        assert abs(np.sqrt((out ** 2).mean()) - 1.0) <= 1e-9
+        for out in profile(rng.normals(64) * 5 + 11, rng.normals(64) * 3 - 7)[:2]:
+            assert abs(out.mean()) <= 1e-9
+            assert abs(np.sqrt((out ** 2).mean()) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInput):
-            zscore([1.0, bad])
+            profile([1.0, bad])
+        with pytest.raises(InvalidInput):
+            profile([1.0, 2.0], [1.0, bad])
 
 
 class TestRelevance:
+    """finalize_profile's relevance alpha * z_entropy + beta * z_stability."""
+
     def test_cancellation(self):
-        r = relevance([1.0], [-1.0], 0.5, 0.5)
-        assert r[0] == 0.0
+        _, _, r, _ = profile([0.0, 1.0], [0.0, 1.0])  # z-scores (-1, 1) and (1, -1)
+        np.testing.assert_array_equal(r, [0.0, 0.0])
 
     def test_boundary_weight(self):
-        zh = np.array([0.3, -0.7])
-        r = relevance(zh, [9.0, 9.0], alpha=1.0, beta=0.0)
+        zh, _, r, _ = profile([0.3, -0.7, 0.1], [9.0, 2.0, 5.0], alpha=1.0, beta=0.0)
         np.testing.assert_array_equal(r, zh)
 
     def test_default_affine_combination(self):
-        zh = np.array([1.0, -0.5, 0.25])
-        zs = np.array([0.5, 0.5, -1.0])
-        want = np.array([0.75, 0.0, -0.375])  # hand-evaluated 0.5*zh + 0.5*zs
-        np.testing.assert_allclose(relevance(zh, zs), want)
+        # z-scores (-c, 0, c) and (-c, c, 0) with c = sqrt(3/2)
+        _, _, r, _ = profile([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
+        want = np.array([-1.2247449, 0.6123724, 0.6123724])  # hand-evaluated 0.5*zh + 0.5*zs
+        np.testing.assert_allclose(r, want, atol=1e-7)
 
     def test_simplex_violation(self):
         with pytest.raises(InvalidConfig):
-            relevance([0.0], [0.0], 0.7, 0.5)
+            profile([0.0, 1.0], alpha=0.7, beta=0.5)
         with pytest.raises(InvalidConfig):
-            relevance([0.0], [0.0], -0.1, 1.1)
+            profile([0.0, 1.0], alpha=-0.1, beta=1.1)
 
     @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.5), (0.5, float("nan")),
                                              (True, False), ("a", 0.5)],
                              ids=["nan-alpha", "nan-beta", "bool-weights", "string-alpha"])
     def test_non_finite_weight_rejected(self, alpha, beta):
         with pytest.raises(InvalidConfig):
-            relevance([0.0, 1.0], [1.0, 0.0], alpha, beta)
+            profile([0.0, 1.0], [1.0, 0.0], alpha, beta)
 
     def test_shift_invariant_ranking(self):
         rng = SeededRng(17)
@@ -449,17 +472,16 @@ class TestRelevance:
         np.testing.assert_array_equal(rank1, rank2)
 
 
-
 @pytest.mark.parametrize("call", [
-    lambda: zscore(["a"]),
-    lambda: zscore([[1], [2, 3]]),
-    lambda: relevance(["a"], [1.0]),
+    lambda: finalize_profile([1.0, 2.0], [False] * 2, ["a", "b"], 0.5, 0.5),
+    lambda: finalize_profile([1.0, 2.0], [False] * 2, [[1.0], [2.0, 3.0]], 0.5, 0.5),
+    lambda: finalize_profile([1.0, 2.0], ["a", "b"], [1.0, 2.0], 0.5, 0.5),
     lambda: finalize_profile([[1.0], [2.0, 3.0]], [False] * 2, [1.0, 2.0], 0.5, 0.5),
     lambda: finalize_profile(["a", "b"], [False] * 2, [1.0, 2.0], 0.5, 0.5),
     lambda: finalize_profile([1.0, 2.0], [[False], [True, False]], [1.0, 2.0], 0.5, 0.5),
     lambda: StreamingMoments().update("abc"),
     lambda: StreamingMoments().update([[1], [2, 3]]),
-], ids=["string-zscore", "ragged-zscore", "string-relevance", "ragged-entropies",
+], ids=["string-variances", "ragged-variances", "string-flags", "ragged-entropies",
         "string-entropies", "ragged-flags", "string-batch", "ragged-batch"])
 def test_non_numeric_input_rejected(call):
     # each raised a bare numpy ValueError before the checks went through errors.py
@@ -472,3 +494,7 @@ class TestFinalizeProfile:
     def test_flag_count_mismatch_rejected(self, n_flags):
         with pytest.raises(InvalidShape):
             finalize_profile([0.1, 0.2, 0.3], [False] * n_flags, [1.0, 2.0, 3.0], 0.5, 0.5)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInput):
+            finalize_profile([], [], [], 0.5, 0.5)
