@@ -4,10 +4,12 @@ Pre-norm blocks (LayerNorm, causal multi-head attention, ReLU MLP, residual
 connections), learned positional embeddings, no biases on the linear maps.
 Forward, analytic backward, SGD training with gradient clipping, greedy
 decoding with a per-layer key/value cache, and EM / token-F1 evaluation all
-live here. Training computes only the positions its loss can reach, and
-keeps for its backward pass only what that pass cannot rebuild with one
-GEMM (see ``loss_and_grads``). Activation capture hooks observe each
-block's post-residual output without altering results.
+live here, with the sequence layout they share: prompt, answer, EOS.
+``train_toy`` checks and lays out its items once, before step 0. Training
+computes only the positions its loss can reach, and keeps for its backward
+pass only what that pass cannot rebuild with one GEMM (see
+``loss_and_grads``). Activation capture hooks observe each block's
+post-residual output without altering results.
 
 Every path reads weights from ``model.params`` alone. A quantized model has
 its own parameter dict in which each quantized matrix is its QTensor's
@@ -28,7 +30,7 @@ from .errors import (InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged,
                      require_instance, require_int, require_real, require_sequence)
 from .linalg import SeededRng, Tensor
 from .quant import QTensor, quantize_tensor
-from .tasks import EOS, PAD, full_sequence
+from .tasks import EOS, PAD
 
 PARAM_INIT_STD = 0.02
 LN_EPS = 1e-5
@@ -118,8 +120,11 @@ class ToyModel:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  qtensors: dict[str, QTensor] | None = None):
-        self.config = config
-        self.params = params
+        self.config = require_instance("config", config, ModelConfig)
+        self.params = require_instance("params", params, dict)
+        for name, shape in param_shapes(config):
+            if not isinstance(params.get(name), np.ndarray) or params[name].shape != shape:
+                raise InvalidInput(f"params must hold {name} as an array of shape {shape}")
         self.qtensors: dict[str, QTensor] = qtensors or {}
 
     def with_quantized_layers(self, layer_bits: dict[int, int], group_size: int) -> "ToyModel":
@@ -492,26 +497,18 @@ def _check_items(items) -> None:
             require_sequence("prompt and answer", seq)
 
 
-def _training_batch(items, indices):
-    """Padded tokens, shifted targets, and the answer-position loss mask."""
-    seqs = [full_sequence(*items[j]) for j in indices]
-    tokens = np.asarray(_pad_batch(seqs))
-    targets = np.roll(tokens, -1, axis=1)
-    targets[:, -1] = PAD
-    mask = np.zeros(tokens.shape, dtype=np.float64)
-    for row, j in enumerate(indices):
-        prompt, answer = items[j]
-        # positions predicting the answer tokens and the closing EOS
-        mask[row, len(prompt) - 1: len(prompt) + len(answer)] = 1.0
-    return tokens, targets, mask
-
-
 def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
               steps: int = DEFAULT_TRAIN_STEPS, lr: float = DEFAULT_LR,
               seed: int = 0, batch_size: int = DEFAULT_BATCH) -> dict:
     """Plain SGD with global gradient-norm clipping at 1.0, in place.
 
     Returns a summary with the initial and final running losses.
+
+    The items are checked and laid out once, before step 0, so a bad item
+    anywhere in them is refused with the model unchanged. Each row of the
+    layout is prompt, answer, EOS, then PAD; a step's batch is its drawn rows
+    up to their longest sequence, the targets one column on, and the loss on
+    the positions that predict the answer tokens and the EOS.
 
     On glibc it first sets malloc's trim and mmap thresholds to 32 MiB
     (``_MALLOC_KEEP_BYTES``) for the rest of the process, so a step's freed
@@ -532,12 +529,16 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     _check_items(items)
     if not items:
         raise InvalidInput("training needs at least one item")
-    if any(len(prompt) == 0 for prompt, _ in items):
+    lengths = np.fromiter((len(seq) for item in items for seq in item), np.int64, 2 * len(items))
+    start, stop = lengths[0::2] - 1, lengths[0::2] + lengths[1::2]  # loss on [start, stop)
+    if start.min() < 0:  # an empty prompt's loss would start at position -1
         raise InvalidInput("every training item needs a prompt of at least one token")
-    # once for the whole run: a batch built from the items is an ndarray, in
-    # which a bool or a float id no longer shows
-    require_array("training tokens", [t for item in items for seq in item for t in seq], 1,
-                  integer=True)
+    # EOS at column stop, and at least one PAD after the longest sequence
+    ids = np.full((len(items), stop.max() + 2), PAD, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < stop[:, None]] = require_array(
+        "training tokens", [t for item in items for seq in item for t in seq], 1, integer=True)
+    ids[np.arange(len(items)), stop] = EOS
+    _validate_tokens(model.config, ids[:, :-1])
     if sys.platform.startswith("linux") and hasattr(libc := ctypes.CDLL(None), "mallopt"):
         libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         # both: setting either one alone pins the other at glibc's 128 KiB default
@@ -547,9 +548,11 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
     window = max(1, min(100, steps // 10))
     losses: list[float] = []
     for step in range(steps):
-        idx = rng.randints(np.full(batch_size, len(items))).tolist()
-        tokens, targets, mask = _training_batch(items, idx)
-        loss, grads = loss_and_grads(model, tokens, targets, mask)
+        idx = rng.randints(np.full(batch_size, len(items)))
+        width = stop[idx].max() + 1
+        col = np.arange(width)
+        loss, grads = loss_and_grads(model, ids[idx, :width], ids[idx, 1:width + 1],
+                                     (start[idx, None] <= col) & (col < stop[idx, None]))
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss} at step {step}")
         gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -639,10 +642,9 @@ def evaluate(model: ToyModel, items: list[tuple[list[int], list[int]]],
     if not items:
         raise InvalidInput("evaluation needs at least one item")
     preds = greedy_decode(model, [p for p, _ in items], max_new_tokens)
-    em_hits = 0
-    f1_sum = 0.0
-    degenerate = 0
+    em_hits, f1_sum, degenerate = 0, 0.0, 0
     for pred, (_, answer) in zip(preds, items):
+        answer = list(answer)  # a tuple or an array compares as the list it holds
         if pred == answer:
             em_hits += 1
         f1, flag = _token_f1(pred, answer)

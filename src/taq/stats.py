@@ -46,7 +46,7 @@ class Reservoir:
     def __init__(self, capacity: int, width: int, rng: SeededRng):
         self.capacity = require_int("reservoir capacity", capacity, 1)
         self.width = require_int("reservoir width", width, 1)
-        self.rng = rng
+        self.rng = require_instance("rng", rng, SeededRng)
         self.seen = 0
         self._buf = np.empty((self.capacity, self.width), dtype=np.float64)
         self._row_shape = (self.width,)

@@ -85,8 +85,3 @@ def gen_task(task: ToyTask, n: int) -> list[tuple[list[int], list[int]]]:
         pos += 1 + lengths[pos]
         items.append(([BOS, marker, *payload, SEP], sorted(payload) if sort else payload))
     return items
-
-
-def full_sequence(prompt: list[int], answer: list[int]) -> list[int]:
-    """Teacher-forcing sequence: prompt tokens, answer tokens, EOS."""
-    return [*prompt, *answer, EOS]

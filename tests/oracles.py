@@ -14,7 +14,7 @@ import numpy as np
 from taq.errors import InvalidInput
 from taq.linalg import SeededRng
 from taq.model import DEFAULT_MAX_NEW_TOKENS, LN_EPS, _pad_batch, forward
-from taq.tasks import _GEN_TAG, BOS, EOS, N_RESERVED, PAYLOAD_MIN, SEP, TASK_MARKER
+from taq.tasks import _GEN_TAG, BOS, EOS, N_RESERVED, PAD, PAYLOAD_MIN, SEP, TASK_MARKER
 
 
 def randint(rng: SeededRng, n: int) -> int:
@@ -232,6 +232,22 @@ def forward_reference(model, tokens, capture=None) -> np.ndarray:
         if capture is not None:
             capture(i, x)
     return layer_norm(x, w["ln_f.g"], w["ln_f.b"]) @ w["unembed.w"]
+
+
+def training_batch_reference(items, indices):
+    """The teacher-forcing batch of the items at ``indices``, built one item
+    at a time: each row is prompt, answer, EOS, right-padded with PAD to the
+    longest; the targets are each row one token on, PAD last; the loss mask
+    is 1 on the positions predicting the answer tokens and the closing EOS."""
+    seqs = [[*items[j][0], *items[j][1], EOS] for j in indices]
+    t = max(len(s) for s in seqs)
+    tokens = np.array([s + [PAD] * (t - len(s)) for s in seqs])
+    targets = np.array([s[1:] + [PAD] * (t - len(s) + 1) for s in seqs])
+    mask = np.zeros(tokens.shape, dtype=np.float64)
+    for row, j in enumerate(indices):
+        prompt, answer = items[j]
+        mask[row, len(prompt) - 1: len(prompt) + len(answer)] = 1.0
+    return tokens, targets, mask
 
 
 def masked_cross_entropy_reference(model, tokens, targets, mask) -> float:

@@ -9,7 +9,7 @@ import pytest
 
 import taq.model
 from taq.alloc import AllocConfig, CostModel, allocate_rank
-from taq.errors import (InvalidConfig, InvalidInput, InvalidPlan, ModelTooSmall, TaqError,
+from taq.errors import (InvalidConfig, InvalidInput, InvalidPlan, ModelTooSmall,
                         TrainingDiverged)
 from taq.linalg import SeededRng
 from taq.model import (
@@ -20,7 +20,6 @@ from taq.model import (
     _blocks,
     _final_logits,
     _pad_batch,
-    _training_batch,
     embed,
     evaluate,
     forward,
@@ -37,10 +36,10 @@ from taq.model import (
 from taq.quant import quantize_tensor
 from taq.stats import (Reservoir, StreamingMoments, finalize_profile, spectral_entropy,
                        variance_and_stability)
-from taq.tasks import EOS, PAD, SEP, TASK_IDS, ToyTask, gen_task, full_sequence
+from taq.tasks import PAD, SEP, TASK_IDS, ToyTask, gen_task
 
 from oracles import (forward_reference, greedy_decode_recompute, masked_cross_entropy_reference,
-                     randint)
+                     randint, training_batch_reference)
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
 # the benchmark's committed default-config checkpoint: a model whose decoded
@@ -67,10 +66,10 @@ def checkpoint_model() -> ToyModel:
 
 def training_batches(n, size=16, seed=5):
     """``n`` batches of ``size`` items drawn from all three default-config
-    tasks, padded and masked as ``train_toy`` builds them."""
+    tasks, padded and masked as ``train_toy`` lays them out."""
     items = [it for tid in TASK_IDS for it in gen_task(ToyTask(tid, 1), 32)]
     rng = SeededRng(seed)
-    return [_training_batch(items, rng.randints(np.full(size, len(items))).tolist())
+    return [training_batch_reference(items, rng.randints(np.full(size, len(items))).tolist())
             for _ in range(n)]
 
 
@@ -168,11 +167,25 @@ def test_non_integer_argument_rejected(call):
     lambda: quantize_tensor(np.ones((2, 2)), 4),
     lambda: gen_task("copy", 3),
     lambda: variance_and_stability(None),
+    lambda: Reservoir(4, 2, None),
+    lambda: Reservoir(4, 2, 0),
+    lambda: ToyModel(None, init_model(SMALL).params),
+    lambda: ToyModel(vars(SMALL), init_model(SMALL).params),
+    lambda: ToyModel(SMALL, None),
+    lambda: ToyModel(SMALL, list(init_model(SMALL).params.items())),
+    lambda: ToyModel(SMALL, {**init_model(SMALL).params, "unembed.w": None}),
+    lambda: ToyModel(SMALL, dict(list(init_model(SMALL).params.items())[1:])),
+    lambda: ToyModel(SMALL, {**init_model(SMALL).params, "embed.pos": np.zeros((8, 16))}),
+    lambda: ToyModel(SMALL, {**init_model(SMALL).params, "ln_f.g": [[1.0] * 16]}),
+    lambda: ToyModel(SMALL, init_model(ModelConfig()).params),
 ], ids=["plan-list", "items-of-ints", "prompt-int", "train-items-of-ints", "array-not-tensor",
-        "task-id-not-task", "no-moments"])
+        "task-id-not-task", "no-moments", "no-reservoir-rng", "int-reservoir-rng", "no-config",
+        "dict-config", "no-params", "params-list", "param-none", "param-missing",
+        "param-shape", "param-list", "params-of-another-config"])
 def test_malformed_structured_argument_rejected(call):
-    # each used to escape as a bare TypeError or AttributeError
-    with pytest.raises(TaqError):
+    # each used to escape as a bare TypeError or AttributeError, those of a
+    # constructor only at the object's first use
+    with pytest.raises(InvalidInput):
         call()
 
 
@@ -582,11 +595,14 @@ class TestTraining:
             np.testing.assert_array_equal(model.params[name], before[name])
 
     @pytest.mark.parametrize("bad", [([1, 4, 9.5, 2], [9]), ([1, 4, True, 2], [9]),
-                                     ([1, 4, 9, 2], [[9]])],
-                             ids=["float-id", "bool-id", "nested-answer"])
+                                     ([1, 4, 9, 2], [[9]]), ([1, 4, SMALL.vocab, 2], [9]),
+                                     ([1, 4, *[9] * (SMALL.max_seq - 3), 2], [9])],
+                             ids=["float-id", "bool-id", "nested-answer", "id-past-vocab",
+                                  "too-long"])
     def test_bad_item_rejected_before_first_step(self, bad):
         # every item is checked once, before training, not only those a
-        # batch happens to draw
+        # batch happens to draw; the too-long item's prompt, answer and EOS
+        # take max_seq + 1 positions
         model = init_model(SMALL)
         before = {k: v.copy() for k, v in model.params.items()}
         with pytest.raises(InvalidInput):
@@ -614,14 +630,23 @@ class TestTraining:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
     def test_batch_indices_match_a_randint_loop(self, monkeypatch):
-        # one randints draw per step gives the indices of one randint per index
-        seen, batch = [], taq.model._training_batch
-        monkeypatch.setattr(taq.model, "_training_batch",
-                            lambda items, idx: seen.append(idx) or batch(items, idx))
-        items = gen_task(ToyTask("copy", 1, vocab=SMALL.vocab, max_payload=4), 5)
-        train_toy(init_model(SMALL), items, steps=3, seed=4, batch_size=6)
+        # each step's batch is the per-item reference's at the indices of one
+        # randint per index; items of every task and length, so the batches
+        # pad to different widths
+        seen, inner = [], taq.model.loss_and_grads
+        monkeypatch.setattr(taq.model, "loss_and_grads", lambda model, *batch: seen.append(
+            [np.array(a) for a in batch]) or inner(model, *batch))
+        items = [it for tid in TASK_IDS
+                 for it in gen_task(ToyTask(tid, 1, vocab=SMALL.vocab, max_payload=4), 3)]
+        train_toy(init_model(SMALL), items, steps=6, seed=4, batch_size=2)
         rng = SeededRng(4).derive(taq.model._TRAIN_TAG)
-        assert seen == [[randint(rng, 5) for _ in range(6)] for _ in range(3)]
+        want = [training_batch_reference(items, [randint(rng, len(items)) for _ in range(2)])
+                for _ in range(6)]
+        assert len({got[0].shape[1] for got in seen}) > 1
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape and np.array_equal(g, r)
 
 
 def scripted_evaluate(monkeypatch, preds, answers) -> EvalResult:
@@ -686,6 +711,16 @@ class TestEvaluate:
         # padding used to truncate a float id to an integer one
         with pytest.raises(InvalidInput):
             evaluate(init_model(SMALL), [(prompt, [3])])
+
+    @pytest.mark.parametrize("form", [tuple, np.array], ids=["tuple", "ndarray"])
+    def test_answer_forms_score_alike(self, monkeypatch, form):
+        # a tuple answer equal to its prediction used to score EM 0 and F1
+        # 100, and an array answer raised a bare ValueError
+        preds = [[5, 6], [7], [8, 9, 10]]
+        answers = [[5, 6], [9], [8, 10, 11]]
+        want = scripted_evaluate(monkeypatch, preds, answers)
+        assert want == scripted_evaluate(monkeypatch, preds, [form(a) for a in answers])
+        assert want.exact_match == pytest.approx(100 / 3)
 
     def test_deterministic_eval(self):
         model = init_model(SMALL)

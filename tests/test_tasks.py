@@ -4,13 +4,11 @@ import pytest
 from taq.errors import InvalidInput
 from taq.tasks import (
     BOS,
-    EOS,
     N_RESERVED,
     PAYLOAD_MIN,
     SEP,
     TASK_MARKER,
     ToyTask,
-    full_sequence,
     gen_task,
 )
 
@@ -109,8 +107,3 @@ class TestGenTask:
     def test_bad_task(self):
         with pytest.raises(InvalidInput):
             ToyTask("reverse", seed=1)
-
-
-def test_full_sequence_layout():
-    seq = full_sequence([BOS, 4, 9, SEP], [9])
-    assert seq == [BOS, 4, 9, SEP, 9, EOS]
