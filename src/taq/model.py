@@ -5,11 +5,11 @@ connections), learned positional embeddings, no biases on the linear maps.
 Forward, analytic backward, SGD training with gradient clipping, greedy
 decoding with a per-layer key/value cache, and EM / token-F1 evaluation all
 live here, with the sequence layout they share: prompt, answer, EOS.
-``train_toy`` checks and lays out its items once, before step 0. Training
-computes only the positions its loss can reach, and keeps for its backward
-pass only what that pass cannot rebuild with one GEMM (see
-``loss_and_grads``). Activation capture hooks observe each block's
-post-residual output without altering results.
+``train_toy`` checks and lays out all its items once, so it refuses every
+bad item before step 0. Training computes only the positions its loss can
+reach, and keeps for its backward pass only what that pass cannot rebuild
+with one GEMM (see ``loss_and_grads``). Activation capture hooks observe
+each block's post-residual output without altering results.
 
 Every path reads weights from ``model.params`` alone. A quantized model has
 its own parameter dict in which each quantized matrix is its QTensor's
