@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetInfeasible, InvalidInput, ModelTooSmall, require_array,
-                     require_instance, require_int, require_real)
+from .errors import (BudgetInfeasible, InvalidInput, require_array, require_instance, require_int,
+                     require_real)
 from .quant import check_bits
 
 PIN_FULL_BITS = 32
@@ -83,7 +83,7 @@ def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan
     r = require_array("relevance", relevance, 1)
     n = r.size
     if n < 2 * cfg.edge_pin + 1:
-        raise ModelTooSmall(
+        raise InvalidInput(
             f"need at least {2 * cfg.edge_pin + 1} layers for edge_pin="
             f"{cfg.edge_pin}, got {n}")
     pinned = frozenset(range(cfg.edge_pin)) | frozenset(range(n - cfg.edge_pin, n))
@@ -94,12 +94,7 @@ def allocate_rank(relevance, cfg: AllocConfig, cost_model: CostModel) -> BitPlan
     n8 = min(math.ceil(cfg.f8 * m), m - n16)
     bits = [PIN_FULL_BITS] * n
     for rank, layer in enumerate(order):
-        if rank < n16:
-            bits[layer] = 16
-        elif rank < n16 + n8:
-            bits[layer] = 8
-        else:
-            bits[layer] = 4
+        bits[layer] = 16 if rank < n16 else 8 if rank < n16 + n8 else 4
     cost = cost_model.cost(bits)
     if cfg.budget is not None and cost > cfg.budget:
         raise BudgetInfeasible(

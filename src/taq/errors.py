@@ -1,16 +1,15 @@
-"""Exception hierarchy, and the checks of caller input.
+"""Exception classes, one per exit code, and the checks of caller input.
 
 Public entry points check their arguments through ``require_int``,
 ``require_real``, ``require_array``, ``require_sequence`` and
 ``require_instance``; no other module converts or checks caller input
-itself. So bad input raises a ``TaqError`` subclass, never a bare
+itself. So bad input raises ``InvalidInput``, never a bare
 ``ValueError``, ``TypeError`` or ``AttributeError``.
 
-Exit codes, for the CLI of ROADMAP direction 2: 2 for ``InvalidInput`` and
-its subclass ``InvalidShape``, ``InvalidConfig``, ``InvalidPlan``,
-``InsufficientData``, ``CorruptCodes``, ``ModelTooSmall`` and ``IoError``;
-3 for ``BudgetInfeasible``; 4 for ``ConvergenceError`` and
-``TrainingDiverged``. Any other exception is a bug and exits 1.
+Exit codes, for the CLI of ROADMAP direction 2: 2 for ``InvalidInput``, 3
+for ``BudgetInfeasible``, 4 for ``ConvergenceError``. Any other exception,
+``TaqError`` itself included, is a bug and exits 1. The message, not the
+class, tells one refused input from another.
 """
 
 from __future__ import annotations
@@ -26,43 +25,11 @@ class TaqError(Exception):
 
 
 class InvalidInput(TaqError):
-    """Argument values violate an operation precondition."""
-
-
-class InvalidShape(InvalidInput):
-    """Tensor or vector dimensions do not match the operation's contract."""
-
-
-class InvalidConfig(TaqError):
-    """Configuration values violate an invariant (weights, grids, dims)."""
-
-
-class InvalidPlan(TaqError):
-    """Bit plan does not match the model it is applied to."""
-
-
-class InsufficientData(TaqError):
-    """An accumulator or file holds no data where at least one item is required."""
-
-
-class CorruptCodes(TaqError):
-    """Quantized integer codes fall outside the representable range."""
-
-
-class ModelTooSmall(TaqError):
-    """Layer count too small for edge pinning plus at least one mid layer."""
-
-
-class TrainingDiverged(TaqError):
-    """Training loss became non-finite."""
-
-
-class IoError(TaqError):
-    """A referenced file is missing, unreadable, or malformed."""
+    """An argument, config, plan or data set violates an operation's precondition."""
 
 
 class ConvergenceError(TaqError):
-    """A LAPACK routine (the SVD behind the spectral entropy) did not converge."""
+    """The training loss became non-finite, or the spectral entropy's SVD did not converge."""
 
 
 class BudgetInfeasible(TaqError):
@@ -85,12 +52,12 @@ def require_int(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
-def require_real(name: str, value, error: type[TaqError] = InvalidInput) -> float:
-    """``value`` as a finite Python float. Raises ``error`` for a bool, a
+def require_real(name: str, value) -> float:
+    """``value`` as a finite Python float. Raises InvalidInput for a bool, a
     non-number, NaN, an infinity or an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not abs(value) <= sys.float_info.max:
-        raise error(f"{name} must be a finite real number, got {value!r}")
+        raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -101,8 +68,8 @@ def require_array(name: str, value, ndim: int | None = None, integer: bool = Fal
     codes, counts; bools refused, also one nested among ints in lists or
     tuples). A caller that checks finiteness in a pass of its own gives
     ``finite=False``. An empty array passes with any dtype, for the caller's
-    shape check. Ragged nesting and non-numeric entries raise InvalidInput,
-    a wrong ``ndim`` (when given) InvalidShape."""
+    shape check. Ragged nesting, non-numeric entries and a wrong ``ndim``
+    (when given) raise InvalidInput."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as err:  # numpy's refusal of ragged nesting
@@ -115,7 +82,7 @@ def require_array(name: str, value, ndim: int | None = None, integer: bool = Fal
             and {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).flat)):
         raise InvalidInput(f"{name} must hold integers, not bools")
     if ndim is not None and arr.ndim != ndim:
-        raise InvalidShape(f"{name} must be {ndim}-D, got shape {arr.shape}")
+        raise InvalidInput(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if integer:
         return arr
     arr = arr.astype(np.float64, copy=False)

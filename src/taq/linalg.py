@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidShape, require_array, require_int
+from .errors import InvalidInput, require_array, require_int
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -42,7 +42,7 @@ class Tensor:
     def __post_init__(self):
         self.values = np.ascontiguousarray(require_array("Tensor values", self.values, 2))
         if 0 in self.values.shape:
-            raise InvalidShape(f"Tensor dimensions must be positive, got {self.values.shape}")
+            raise InvalidInput(f"Tensor dimensions must be positive, got {self.values.shape}")
 
     @property
     def rows(self) -> int:

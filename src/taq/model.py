@@ -22,12 +22,13 @@ import ctypes
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidConfig, InvalidInput, InvalidPlan, TrainingDiverged, require_array,
-                     require_instance, require_int, require_real, require_sequence)
+from .errors import (ConvergenceError, InvalidInput, require_array, require_instance, require_int,
+                     require_real, require_sequence)
 from .linalg import SeededRng, Tensor
 from .quant import QTensor, quantize_tensor
 from .tasks import EOS, PAD
@@ -59,12 +60,12 @@ class ModelConfig:
         for name in ("n_layers", "d_model", "n_heads", "vocab", "max_seq", "seed"):
             object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads != 0:
-            raise InvalidConfig(f"d_model {self.d_model} must be a positive multiple "
-                                f"of a positive n_heads, got n_heads {self.n_heads}")
+            raise InvalidInput(f"d_model {self.d_model} must be a positive multiple "
+                               f"of a positive n_heads, got n_heads {self.n_heads}")
         if self.n_layers < 1:
-            raise InvalidConfig(f"n_layers must be >= 1, got {self.n_layers}")
+            raise InvalidInput(f"n_layers must be >= 1, got {self.n_layers}")
         if self.vocab < 8 or self.max_seq < 4:
-            raise InvalidConfig("vocab must be >= 8 and max_seq >= 4")
+            raise InvalidInput("vocab must be >= 8 and max_seq >= 4")
 
 
 def _layer_param_shapes(cfg: ModelConfig, i: int) -> list[tuple[str, tuple[int, int]]]:
@@ -134,8 +135,8 @@ class ToyModel:
         qtensors = {}
         for layer, bits in require_instance("layer_bits", layer_bits, dict).items():
             if not (0 <= require_int("layer", layer) < self.config.n_layers):
-                raise InvalidPlan(f"layer {layer} outside model with "
-                                  f"{self.config.n_layers} layers")
+                raise InvalidInput(f"layer {layer} outside model with "
+                                   f"{self.config.n_layers} layers")
             for name in quantizable_names(self.config, layer):
                 qtensors[name] = quantize_tensor(
                     Tensor(self.params[name], label=name), bits, group_size)
@@ -340,19 +341,34 @@ def forward(model: ToyModel, tokens, capture=None) -> np.ndarray:
     """Logits (batch, seq, vocab). ``capture(layer_idx, block_output)`` is
     called with each block's post-residual activations and never affects the
     result."""
-    x = _blocks(model, embed(model, tokens), 0, model.config.n_layers, capture)
-    return _final_logits(model, x)
+    x = embed(model, tokens)
+    if capture is not None:
+        require_instance("capture", capture, Callable)
+    return _final_logits(model, _blocks(model, x, 0, model.config.n_layers, capture))
+
+
+def _boundary(cfg: ModelConfig, name: str, layer) -> int:
+    """``layer`` as the index of a block boundary, an int in [0, n_layers]."""
+    if (i := require_int(name, layer, 0)) > cfg.n_layers:
+        raise InvalidInput(f"{name} must be <= n_layers {cfg.n_layers}, got {i}")
+    return i
 
 
 def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
     """Hidden state entering block ``stop_layer``."""
-    return _blocks(model, embed(model, tokens), 0, stop_layer)
+    x = embed(model, tokens)
+    return _blocks(model, x, 0, _boundary(model.config, "stop_layer", stop_layer))
 
 
 def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray:
-    """Logits from a cached hidden state entering block ``start_layer``."""
-    x = _blocks(require_instance("model", model, ToyModel), x, start_layer, model.config.n_layers)
-    return _final_logits(model, x)
+    """Logits from a cached hidden state (batch, t, d_model) entering block ``start_layer``."""
+    cfg = require_instance("model", model, ToyModel).config
+    start = _boundary(cfg, "start_layer", start_layer)
+    x = require_array("hidden state", x, 3)
+    if x.shape[1] > cfg.max_seq or x.shape[2] != cfg.d_model:
+        raise InvalidInput(f"hidden state must be (batch, t <= {cfg.max_seq}, {cfg.d_model}), "
+                           f"got {x.shape}")
+    return _final_logits(model, _blocks(model, x, start, cfg.n_layers))
 
 
 def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
@@ -554,7 +570,7 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
         loss, grads = loss_and_grads(model, ids[idx, :width], ids[idx, 1:width + 1],
                                      (start[idx, None] <= col) & (col < stop[idx, None]))
         if not math.isfinite(loss):
-            raise TrainingDiverged(f"loss became {loss} at step {step}")
+            raise ConvergenceError(f"loss became {loss} at step {step}")
         gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         clip = min(1.0, GRAD_CLIP_NORM / gnorm) if gnorm > 0 else 1.0
         for name, g in grads.items():
@@ -641,6 +657,7 @@ def evaluate(model: ToyModel, items: list[tuple[list[int], list[int]]],
     _check_items(items)
     if not items:
         raise InvalidInput("evaluation needs at least one item")
+    require_array("answer tokens", [t for _, answer in items for t in answer], 1, integer=True)
     preds = greedy_decode(model, [p for p, _ in items], max_new_tokens)
     em_hits, f1_sum, degenerate = 0, 0.0, 0
     for pred, (_, answer) in zip(preds, items):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CorruptCodes, InvalidInput, InvalidShape, require_array, require_instance,
-                     require_int)
+from .errors import InvalidInput, require_array, require_instance, require_int
 from .linalg import Tensor
 
 ADMISSIBLE_BITS = (4, 8, 16)
@@ -80,7 +79,7 @@ class QTensor:
         n_groups = -(-n // self.group_size)
         if (self.rows < 1 or self.cols < 1 or codes.shape != (n,)
                 or self.scale.shape != (n_groups,) or self.zero_point.shape != (n_groups,)):
-            raise InvalidShape(
+            raise InvalidInput(
                 f"{self.rows}x{self.cols} in groups of {self.group_size} needs {n} codes "
                 f"and {n_groups} scales and zero-points, got {codes.shape}, "
                 f"{self.scale.shape} and {self.zero_point.shape}")
@@ -88,7 +87,7 @@ class QTensor:
             raise InvalidInput("every scale must be positive")
         max_code = (1 << self.bits) - 1
         if codes.min() < 0 or codes.max() > max_code:
-            raise CorruptCodes(f"codes outside [0, {max_code}] for bits={self.bits}")
+            raise InvalidInput(f"codes outside [0, {max_code}] for bits={self.bits}")
         self.codes = codes.astype(np.min_scalar_type(max_code), copy=False)
         weights = (_group_view(self.codes.astype(np.float64), self.group_size)
                    * self.scale[:, None] + self.zero_point[:, None])
@@ -126,13 +125,11 @@ def quant_error(w: Tensor, q: QTensor) -> dict:
     """Relative Frobenius error of a quantization: ||w - q.weights|| / ||w||."""
     require_instance("w", w, Tensor)
     if (w.rows, w.cols) != (require_instance("q", q, QTensor).rows, q.cols):
-        raise InvalidShape(
+        raise InvalidInput(
             f"shape mismatch: tensor {w.rows}x{w.cols} vs qtensor {q.rows}x{q.cols}")
     delta = w.values - q.weights
     denom = float(np.sqrt(np.sum(w.values ** 2)))
     num = float(np.sqrt(np.sum(delta ** 2)))
     if denom == 0.0:
-        frob_rel = 0.0 if num == 0.0 else math.inf
-    else:
-        frob_rel = num / denom
-    return {"frobenius_rel": frob_rel}
+        return {"frobenius_rel": 0.0 if num == 0.0 else math.inf}
+    return {"frobenius_rel": num / denom}

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, InsufficientData, InvalidConfig, InvalidInput, InvalidShape,
-                     require_array, require_instance, require_int, require_real)
+from .errors import (ConvergenceError, InvalidInput, require_array, require_instance, require_int,
+                     require_real)
 from .linalg import SeededRng
 
 DEFAULT_RESERVOIR_CAPACITY = 256
@@ -59,7 +59,7 @@ class Reservoir:
     def offer(self, v: np.ndarray) -> None:
         """Offer one float64 array of shape ``(width,)``; a kept row is copied."""
         if not (type(v) is np.ndarray and v.dtype is _F64 and v.shape == self._row_shape):
-            raise InvalidShape(f"expected a float64 array of shape ({self.width},)")
+            raise InvalidInput(f"expected a float64 array of shape ({self.width},)")
         self.seen += 1
         if self._count < self.capacity:
             self._buf[self._count] = v
@@ -99,7 +99,7 @@ class StreamingMoments:
             mean_b = float(arr.mean())
             m2_b = float(np.square(arr - mean_b).sum())
         if not (math.isfinite(mean_b) and math.isfinite(m2_b)):
-            raise InvalidInput(f"batch of {nb} values is not all finite")
+            raise InvalidInput(f"batch of {nb} values is not all finite, or its moments overflow")
         n = self.n + nb
         delta = mean_b - self.mean
         self.mean += delta * nb / n
@@ -110,7 +110,7 @@ class StreamingMoments:
 def variance_and_stability(m: StreamingMoments) -> tuple[float, float]:
     """Population variance ``m2 / n`` from the running moments, and its negation."""
     if require_instance("moments", m, StreamingMoments).n < 1:
-        raise InsufficientData("no elements accumulated")
+        raise InvalidInput("no elements accumulated")
     var = m.m2 / m.n
     return var, -var
 
@@ -123,7 +123,7 @@ def spectral_entropy(reservoir: Reservoir) -> tuple[float, bool]:
     Returns (entropy, degenerate). Degenerate means all rows are equal (or
     the spectrum underflowed); the entropy is then 0 by convention."""
     if len(require_instance("reservoir", reservoir, Reservoir)) < 1:
-        raise InsufficientData("reservoir is empty")
+        raise InvalidInput("reservoir is empty")
     z = require_array("reservoir rows", reservoir.rows())
     if (z == z[0]).all():
         return 0.0, True
@@ -171,22 +171,22 @@ def finalize_profile(entropies, entropy_flags, variances, alpha: float,
 
     Entropy and stability (the negated variance) are z-scored across layers,
     and each layer's relevance is alpha * z_entropy + beta * z_stability;
-    alpha and beta must be non-negative and sum to 1 (InvalidConfig
+    alpha and beta must be non-negative and sum to 1 (InvalidInput
     otherwise). Returns the LayerStats list plus the two z-scores'
     degeneracy flags.
     """
     h = require_array("entropies", entropies, 1)
     v = require_array("variances", variances, 1)
     if not h.shape == v.shape == require_array("entropy flags", entropy_flags).shape:
-        raise InvalidShape("entropy, flag and variance vectors must have equal length")
+        raise InvalidInput("entropy, flag and variance vectors must have equal length")
     if h.size < 1:
         raise InvalidInput("finalize_profile expects at least one layer")
-    alpha = require_real("alpha", alpha, InvalidConfig)
-    beta = require_real("beta", beta, InvalidConfig)
+    alpha = require_real("alpha", alpha)
+    beta = require_real("beta", beta)
     if alpha < 0.0 or beta < 0.0:
-        raise InvalidConfig(f"weights must be non-negative, got ({alpha}, {beta})")
+        raise InvalidInput(f"weights must be non-negative, got ({alpha}, {beta})")
     if abs(alpha + beta - 1.0) > 1e-9:
-        raise InvalidConfig(f"weights must sum to 1, got {alpha} + {beta}")
+        raise InvalidInput(f"weights must sum to 1, got {alpha} + {beta}")
     s = -v
     zh, zh_degenerate = _zscore(h)
     zs, zs_degenerate = _zscore(s)

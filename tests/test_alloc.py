@@ -11,7 +11,7 @@ from taq.alloc import (
     check_monotone,
     uniform_plan,
 )
-from taq.errors import BudgetInfeasible, InvalidInput, ModelTooSmall
+from taq.errors import BudgetInfeasible, InvalidInput
 from taq.linalg import SeededRng, Tensor
 from taq.quant import quant_error, quantize_tensor
 
@@ -65,7 +65,7 @@ class TestAllocateRank:
             assert plan.bits == sort_then_slice_oracle(r, 0.15, 0.45, 2)
 
     def test_too_small(self):
-        with pytest.raises(ModelTooSmall):
+        with pytest.raises(InvalidInput, match="need at least 5 layers for edge_pin=2, got 4"):
             rank([1.0, 2.0, 3.0, 4.0])
 
     def test_budget_infeasible(self):

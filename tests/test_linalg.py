@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taq.errors import InvalidInput, InvalidShape
+from taq.errors import InvalidInput
 from taq.linalg import SeededRng, Tensor
 
 from oracles import randint
@@ -9,11 +9,11 @@ from oracles import randint
 
 class TestTensor:
     def test_rejects_non_2d(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match=r"Tensor values must be 2-D, got shape \(3,\)"):
             Tensor(np.zeros(3))
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match=r"Tensor dimensions must be positive, got \(0, 3\)"):
             Tensor(np.zeros((0, 3)))
 
     def test_rejects_nan(self):

@@ -9,8 +9,7 @@ import pytest
 
 import taq.model
 from taq.alloc import AllocConfig, CostModel, allocate_rank
-from taq.errors import (InvalidConfig, InvalidInput, InvalidPlan, ModelTooSmall,
-                        TrainingDiverged)
+from taq.errors import ConvergenceError, InvalidInput
 from taq.linalg import SeededRng
 from taq.model import (
     DEFAULT_MAX_NEW_TOKENS,
@@ -92,11 +91,12 @@ def small_batch(cfg, rng_seed=3, batch=2, seq=6):
 
 class TestConfig:
     def test_heads_must_divide(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="d_model 10 must be a positive multiple of a "
+                                               "positive n_heads, got n_heads 3"):
             ModelConfig(d_model=10, n_heads=3)
 
     def test_min_layers(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="n_layers must be >= 1, got 0"):
             ModelConfig(n_layers=0)
 
     def test_three_layers_run_and_allocate_with_one_pinned_edge(self):
@@ -118,14 +118,14 @@ class TestConfig:
         stats, _ = finalize_profile(entropies, flags, variances, 0.5, 0.5)
         relevance = [s.relevance for s in stats]
         cost_model = CostModel(layer_weight_counts(cfg))
-        with pytest.raises(ModelTooSmall):
+        with pytest.raises(InvalidInput, match="need at least 5 layers for edge_pin=2, got 3"):
             allocate_rank(relevance, AllocConfig(), cost_model)
         assert allocate_rank(relevance, AllocConfig(edge_pin=1), cost_model).bits == [32, 16, 32]
 
     @pytest.mark.parametrize("dims", [{"n_heads": 0}, {"n_heads": -4}, {"d_model": 0}],
                              ids=["no-heads", "negative-heads", "no-width"])
     def test_non_positive_dims_rejected(self, dims):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="must be a positive multiple of a positive n_heads"):
             ModelConfig(**dims)
 
 
@@ -151,9 +151,12 @@ def _copy_items(n=4):
     lambda: init_model(SMALL).with_quantized_layers({0.5: 4}, 128),
     lambda: init_model(SMALL).with_quantized_layers({"0": 4}, 128),
     lambda: init_model(SMALL).with_quantized_layers({0: 4}, 2.5),
+    lambda: forward_prefix(init_model(SMALL), [[1, 2]], 1.5),
+    lambda: forward_from(init_model(SMALL), np.zeros((1, 2, SMALL.d_model)), 1.5),
 ], ids=["fractional-layers", "fractional-vocab", "float-seed", "fractional-steps",
         "fractional-batch", "fractional-train-seed", "fractional-budget",
-        "fractional-layer-key", "string-layer-key", "fractional-group-size"])
+        "fractional-layer-key", "string-layer-key", "fractional-group-size",
+        "fractional-stop-layer", "fractional-start-layer"])
 def test_non_integer_argument_rejected(call):
     with pytest.raises(InvalidInput):
         call()
@@ -178,10 +181,13 @@ def test_non_integer_argument_rejected(call):
     lambda: ToyModel(SMALL, {**init_model(SMALL).params, "embed.pos": np.zeros((8, 16))}),
     lambda: ToyModel(SMALL, {**init_model(SMALL).params, "ln_f.g": [[1.0] * 16]}),
     lambda: ToyModel(SMALL, init_model(ModelConfig()).params),
+    lambda: forward(init_model(SMALL), [[1, 2]], capture="x"),
+    lambda: forward_from(init_model(SMALL), [[0.0] * SMALL.d_model], 1),
 ], ids=["plan-list", "items-of-ints", "prompt-int", "train-items-of-ints", "array-not-tensor",
         "task-id-not-task", "no-moments", "no-reservoir-rng", "int-reservoir-rng", "no-config",
         "dict-config", "no-params", "params-list", "param-none", "param-missing",
-        "param-shape", "param-list", "params-of-another-config"])
+        "param-shape", "param-list", "params-of-another-config", "string-capture",
+        "hidden-state-list-2d"])
 def test_malformed_structured_argument_rejected(call):
     # each used to escape as a bare TypeError or AttributeError, those of a
     # constructor only at the object's first use
@@ -263,6 +269,29 @@ class TestForward:
         for split in (0, 2, SMALL.n_layers):
             h = forward_prefix(model, tokens, split)
             np.testing.assert_array_equal(forward_from(model, h, split), full)
+            np.testing.assert_array_equal(forward_from(model, h.tolist(), split), full)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m, h: forward_prefix(m, [[1, 2]], 6), "stop_layer must be <= n_layers 5, got 6"),
+        (lambda m, h: forward_prefix(m, [[1, 2]], -1), "stop_layer must be >= 0, got -1"),
+        (lambda m, h: forward_from(m, h, -1), "start_layer must be >= 0, got -1"),
+        (lambda m, h: forward_from(m, h, 9), "start_layer must be <= n_layers 5, got 9"),
+        (lambda m, h: forward_from(m, h[..., :5], 1),
+         r"hidden state must be \(batch, t <= 16, 16\), got \(2, 6, 5\)"),
+        (lambda m, h: forward_from(m, np.zeros((1, 17, SMALL.d_model)), 1),
+         r"hidden state must be \(batch, t <= 16, 16\), got \(1, 17, 16\)"),
+        (lambda m, h: forward_from(m, np.where(h > 0, np.nan, h), 1),
+         "hidden state must be finite"),
+    ], ids=["stop-past-last", "stop-negative", "start-negative", "start-past-last",
+            "hidden-width", "hidden-too-long", "hidden-nan"])
+    def test_bad_split_rejected(self, call, message):
+        # a layer index past either end used to raise a bare KeyError or return
+        # the embedding or the logits, and a bad hidden state a bare ValueError,
+        # or nothing at all for NaN
+        model = init_model(SMALL)
+        h = forward_prefix(model, small_batch(SMALL)[0], 1)
+        with pytest.raises(InvalidInput, match=message):
+            call(model, h)
 
     def test_traced_peak(self):
         # inference keeps no training cache and drops each intermediate once
@@ -391,7 +420,7 @@ class TestQuantizedModel:
 
     @pytest.mark.parametrize("layer", [SMALL.n_layers, -1], ids=["past-last", "negative"])
     def test_layer_outside_model_rejected(self, layer):
-        with pytest.raises(InvalidPlan):
+        with pytest.raises(InvalidInput, match=f"layer {layer} outside model with 5 layers"):
             init_model(SMALL).with_quantized_layers({layer: 4}, 128)
 
 
@@ -568,7 +597,7 @@ class TestTraining:
         model = init_model(cfg)
         model.params["unembed.w"][0, 0] = np.nan
         items = gen_task(ToyTask("copy", 1, vocab=cfg.vocab, max_payload=4), 4)
-        with pytest.raises(TrainingDiverged, match="loss became nan at step 0"):
+        with pytest.raises(ConvergenceError, match="loss became nan at step 0"):
             train_toy(model, items, steps=2, batch_size=2)
 
     @pytest.mark.parametrize("kwargs", [
@@ -711,6 +740,18 @@ class TestEvaluate:
         # padding used to truncate a float id to an integer one
         with pytest.raises(InvalidInput):
             evaluate(init_model(SMALL), [(prompt, [3])])
+
+    @pytest.mark.parametrize("answer, message", [
+        ([[9]], "must be 1-D"), ([9.5], "must hold integers, got dtype float64"),
+        (["a"], "must hold integers, got dtype <U1"),
+        ([True], "must hold integers, got dtype bool"),
+        ([9, True], "must hold integers, not bools"),
+    ], ids=["nested", "fraction", "string", "bool", "bool-among-ints"])
+    def test_non_integer_answer_rejected(self, answer, message):
+        # a nested answer raised a bare TypeError from Counter, and the others
+        # were scored as a miss or, for a bool, as the id it equals
+        with pytest.raises(InvalidInput, match=f"answer tokens {message}"):
+            evaluate(init_model(SMALL), [([4, 7, SEP], answer)])
 
     @pytest.mark.parametrize("form", [tuple, np.array], ids=["tuple", "ndarray"])
     def test_answer_forms_score_alike(self, monkeypatch, form):

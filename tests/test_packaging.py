@@ -14,7 +14,6 @@ PYPROJECT = ROOT / "pyproject.toml"
 UNREACHED_ALLOWED = {
     "forward_prefix": "direction 4: per-layer sensitivity from a cached prefix",
     "forward_from": "direction 4: per-layer sensitivity from a cached prefix",
-    "IoError": "direction 2: the .npz checkpoint",
 }
 
 
@@ -73,24 +72,31 @@ def test_every_public_definition_is_reached():
     assert not unreached, f"public definitions nothing reaches: {unreached}"
 
 
+def _error_classes() -> set[str]:
+    errors = ast.parse((ROOT / "src" / "taq" / "errors.py").read_text())
+    return {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+
+
+def test_one_error_class_per_exit_code():
+    # InvalidInput exits 2, BudgetInfeasible 3, ConvergenceError 4, and any
+    # other exception 1; the message tells one refused input from another
+    assert _error_classes() == {"TaqError", "InvalidInput", "BudgetInfeasible",
+                                "ConvergenceError"}
+
+
 def test_errors_go_through_errors_module():
-    # every raise names a class defined in errors.py (inside errors.py, also
-    # the error class a check was handed), and only errors.py catches
-    # TypeError or ValueError: it alone turns numpy's refusals into TaqErrors
+    # every raise names a class defined in errors.py, and only errors.py
+    # catches TypeError or ValueError: it alone turns numpy's refusals into
+    # TaqErrors
     src = ROOT / "src" / "taq"
-    errors = ast.parse((src / "errors.py").read_text())
-    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
-    handed = {arg.arg for node in ast.walk(errors) if isinstance(node, ast.FunctionDef)
-              for arg, default in zip(node.args.args[::-1], node.args.defaults[::-1])
-              if isinstance(default, ast.Name) and default.id in classes}
+    classes = _error_classes()
     broad = {"TypeError", "ValueError", "Exception", "BaseException"}
     found = []
     for path in sorted(src.glob("*.py")):
-        allowed = classes | handed if path.name == "errors.py" else classes
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise):
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if not (isinstance(exc, ast.Name) and exc.id in allowed):
+                if not (isinstance(exc, ast.Name) and exc.id in classes):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
             elif isinstance(node, ast.ExceptHandler) and path.name != "errors.py":
                 caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taq.errors import CorruptCodes, InvalidInput, InvalidShape
+from taq.errors import InvalidInput
 from taq.linalg import SeededRng, Tensor
 from taq.quant import QTensor, quant_error, quantize_tensor
 
@@ -29,9 +29,9 @@ class TestFitMinmax:
         np.testing.assert_array_equal(qt.weights, [[3.5, 3.5, 3.5]])
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match=r"Tensor dimensions must be positive, got \(0, 3\)"):
             quantize_tensor(Tensor(np.zeros((0, 3))), bits=8)
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match="0x3 in groups of 4 needs 0 codes"):
             QTensor(codes=[], scale=[], zero_point=[], bits=8, group_size=4, rows=0, cols=3)
 
     def test_bad_bits_rejected(self):
@@ -88,7 +88,7 @@ class TestQuantizeGroup:
         # checked as given: cast to uint8 first, 256 and 2**64 - 1 would wrap
         for bad in ([0, 16], [0, -1], np.array([0, 256], np.uint16),
                     np.array([0, 2**64 - 1], np.uint64)):
-            with pytest.raises(CorruptCodes):
+            with pytest.raises(InvalidInput, match=r"codes outside \[0, 15\] for bits=4"):
                 QTensor(codes=bad, scale=[1.0], zero_point=[0.0], bits=4,
                         group_size=2, rows=1, cols=2)
 
@@ -100,7 +100,7 @@ class TestQTensor:
         QTensor(**ok)
         for key, value in (("codes", [0, 1]), ("scale", [1.0]), ("zero_point", [0.0] * 3),
                            ("cols", 4)):
-            with pytest.raises(InvalidShape):
+            with pytest.raises(InvalidInput, match="in groups of 2 needs"):
                 QTensor(**{**ok, key: value})
 
     def test_non_positive_scale_rejected(self):
@@ -225,7 +225,7 @@ class TestQuantError:
     def test_shape_mismatch(self):
         w = Tensor(np.zeros((2, 2)))
         qt = quantize_tensor(Tensor(np.zeros((2, 3))), bits=8)
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match="shape mismatch: tensor 2x2 vs qtensor 2x3"):
             quant_error(w, qt)
 
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from taq.errors import (ConvergenceError, InsufficientData, InvalidConfig, InvalidInput,
-                        InvalidShape)
+from taq.errors import ConvergenceError, InvalidInput
 from taq.linalg import SeededRng
 from taq.stats import (
     _DRAW_BLOCK,
@@ -61,14 +60,14 @@ class TestReservoir:
 
     def test_width_mismatch(self):
         res = Reservoir(2, 3, SeededRng(0))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match=r"expected a float64 array of shape \(3,\)"):
             res.offer(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("row", [np.zeros(2), np.zeros((1, 2)), np.zeros(4)],
                              ids=["short", "short-2d", "long"])
     def test_width_mismatch_array(self, row):
         res = Reservoir(2, 3, SeededRng(0))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match=r"expected a float64 array of shape \(3,\)"):
             res.offer(row)
         assert res.seen == 0
 
@@ -78,7 +77,7 @@ class TestReservoir:
     def test_other_row_forms_refused(self, row):
         # a wrong-width row is test_width_mismatch_array's case
         res = Reservoir(2, 3, SeededRng(0))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match=r"expected a float64 array of shape \(3,\)"):
             res.offer(row)
         assert res.seen == 0 and len(res) == 0
 
@@ -188,7 +187,7 @@ class TestStreamingMoments:
         assert var == 1.0 and stab == -1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InvalidInput, match="no elements accumulated"):
             variance_and_stability(StreamingMoments())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
@@ -196,8 +195,18 @@ class TestStreamingMoments:
     def test_non_finite_batch_rejected(self, bad):
         m = StreamingMoments()
         m.update([3.0, 5.0])
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="is not all finite, or its moments overflow"):
             m.update([1.0, bad])
+        assert (m.n, m.mean, m.m2) == (2, 4.0, 2.0)
+
+    @pytest.mark.parametrize("batch", [[1e200, -1e200], [1e308, 1e308]],
+                             ids=["squares-overflow", "sum-overflows"])
+    def test_overflowing_finite_batch_rejected(self, batch):
+        # finite values used to be refused as "not all finite"
+        m = StreamingMoments()
+        m.update([3.0, 5.0])
+        with pytest.raises(InvalidInput, match="is not all finite, or its moments overflow"):
+            m.update(batch)
         assert (m.n, m.mean, m.m2) == (2, 4.0, 2.0)
 
 
@@ -259,7 +268,7 @@ class TestSpectralEntropy:
         assert abs(h1 - h2) < 1e-8
 
     def test_empty_reservoir_rejected(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InvalidInput, match="reservoir is empty"):
             spectral_entropy(Reservoir(4, 2, SeededRng(0)))
 
     @pytest.mark.parametrize("reservoir", [None, np.ones((3, 4))], ids=["none", "ndarray"])
@@ -383,7 +392,7 @@ class TestEntropyMatchesEigenOracles:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="SVD did not converge on 3x3 rows"):
             entropy(np.eye(3))
 
 
@@ -449,16 +458,17 @@ class TestRelevance:
         np.testing.assert_allclose(r, want, atol=1e-7)
 
     def test_simplex_violation(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match=r"weights must sum to 1, got 0\.7 \+ 0\.5"):
             profile([0.0, 1.0], alpha=0.7, beta=0.5)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput,
+                           match=r"weights must be non-negative, got \(-0\.1, 1\.1\)"):
             profile([0.0, 1.0], alpha=-0.1, beta=1.1)
 
     @pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.5), (0.5, float("nan")),
                                              (True, False), ("a", 0.5)],
                              ids=["nan-alpha", "nan-beta", "bool-weights", "string-alpha"])
     def test_non_finite_weight_rejected(self, alpha, beta):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="(alpha|beta) must be a finite real number"):
             profile([0.0, 1.0], [1.0, 0.0], alpha, beta)
 
     def test_shift_invariant_ranking(self):
@@ -492,7 +502,8 @@ def test_non_numeric_input_rejected(call):
 class TestFinalizeProfile:
     @pytest.mark.parametrize("n_flags", [2, 4])
     def test_flag_count_mismatch_rejected(self, n_flags):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InvalidInput, match="entropy, flag and variance vectors must have "
+                                               "equal length"):
             finalize_profile([0.1, 0.2, 0.3], [False] * n_flags, [1.0, 2.0, 3.0], 0.5, 0.5)
 
     def test_empty_rejected(self):
