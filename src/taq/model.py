@@ -14,6 +14,11 @@ each block's post-residual output without altering results.
 Every path reads weights from ``model.params`` alone. A quantized model has
 its own parameter dict in which each quantized matrix is its QTensor's
 dequantized weights and every other entry is the parent's array.
+
+A model computes in its parameters' dtype, float32 or float64: every
+activation, cache, loss and gradient has it. ``init_model`` gives float32;
+a float64 model (the float64 copy of one, or a float64 checkpoint) runs the
+same operations in float64.
 """
 
 from __future__ import annotations
@@ -114,9 +119,10 @@ def layer_weight_counts(cfg: ModelConfig) -> tuple[int, ...]:
 class ToyModel:
     """Parameters, and the QTensors behind any quantized entries.
 
-    ``params`` maps names to float64 arrays; forward, decode and training read
-    only it. ``qtensors`` records how each quantized entry was made: for each
-    of its names, ``params[name]`` is ``qtensors[name].weights``.
+    ``params`` maps names to arrays that all share one dtype, float32 or
+    float64, kept as ``dtype``; forward, decode and training read only it.
+    ``qtensors`` records how each quantized entry was made: for each of its
+    names, ``params[name]`` is ``qtensors[name].weights`` in ``dtype``.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
@@ -126,12 +132,18 @@ class ToyModel:
         for name, shape in param_shapes(config):
             if not isinstance(params.get(name), np.ndarray) or params[name].shape != shape:
                 raise InvalidInput(f"params must hold {name} as an array of shape {shape}")
+        dtypes = sorted({str(params[name].dtype) for name, _ in param_shapes(config)})
+        if dtypes not in (["float32"], ["float64"]):
+            raise InvalidInput(f"params must be all float32 or all float64, got {dtypes}")
+        self.dtype = np.dtype(dtypes[0])
         self.qtensors: dict[str, QTensor] = qtensors or {}
 
     def with_quantized_layers(self, layer_bits: dict[int, int], group_size: int) -> "ToyModel":
         """New model with the given layers' weight matrices quantized at the
         given bitwidths (min-max fit). Its parameter dict is new; entries it
-        does not quantize are the parent's arrays, shared."""
+        does not quantize are the parent's arrays, shared. A quantized entry
+        is its QTensor's float64 weights, cast to float32 for a float32 model
+        and the same array for a float64 one."""
         qtensors = {}
         for layer, bits in require_instance("layer_bits", layer_bits, dict).items():
             if not (0 <= require_int("layer", layer) < self.config.n_layers):
@@ -140,12 +152,14 @@ class ToyModel:
             for name in quantizable_names(self.config, layer):
                 qtensors[name] = quantize_tensor(
                     Tensor(self.params[name], label=name), bits, group_size)
-        params = {**self.params, **{name: qt.weights for name, qt in qtensors.items()}}
+        params = {**self.params, **{name: qt.weights.astype(self.dtype, copy=False)
+                                    for name, qt in qtensors.items()}}
         return ToyModel(self.config, params, qtensors)
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
-    """Seeded init: normals with std 0.02 for weights, identity layer norms."""
+    """Seeded init in float32: normals with std 0.02 for weights, each drawn
+    and scaled in float64 and rounded once, and identity layer norms."""
     rng = SeededRng(cfg.seed).derive(_INIT_TAG)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg):
@@ -155,7 +169,7 @@ def init_model(cfg: ModelConfig) -> ToyModel:
             params[name] = np.zeros(shape)
         else:
             params[name] = rng.normals(shape[0] * shape[1]).reshape(shape) * PARAM_INIT_STD
-    return ToyModel(cfg, params)
+    return ToyModel(cfg, {name: values.astype(np.float32) for name, values in params.items()})
 
 
 def _layer_norm(x, g, b, cache=None, tag=""):
@@ -221,7 +235,7 @@ def _unpack(x, rows):
     of ``rows``, in row-major order; x itself when ``rows`` is None."""
     if rows is None:
         return x
-    grid = np.zeros(rows.shape + x.shape[-1:])
+    grid = np.zeros(rows.shape + x.shape[-1:], x.dtype)
     grid[rows] = x
     return grid
 
@@ -361,13 +375,17 @@ def forward_prefix(model: ToyModel, tokens, stop_layer: int) -> np.ndarray:
 
 
 def forward_from(model: ToyModel, x: np.ndarray, start_layer: int) -> np.ndarray:
-    """Logits from a cached hidden state (batch, t, d_model) entering block ``start_layer``."""
+    """Logits from a cached hidden state (batch, t, d_model) entering block
+    ``start_layer``; the state is read in the model's dtype."""
     cfg = require_instance("model", model, ToyModel).config
     start = _boundary(cfg, "start_layer", start_layer)
-    x = require_array("hidden state", x, 3)
+    with np.errstate(over="ignore"):  # a value past the dtype's range becomes inf
+        x = require_array("hidden state", x, 3).astype(model.dtype, copy=False)
     if x.shape[1] > cfg.max_seq or x.shape[2] != cfg.d_model:
         raise InvalidInput(f"hidden state must be (batch, t <= {cfg.max_seq}, {cfg.d_model}), "
                            f"got {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidInput(f"hidden state must be finite in {model.dtype}")
     return _final_logits(model, _blocks(model, x, start, cfg.n_layers))
 
 
@@ -409,12 +427,13 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     cfg = require_instance("model", model, ToyModel).config
     arr = _validate_tokens(cfg, tokens)
     targets = _validate_tokens(cfg, targets)
-    mask = require_array("loss mask", loss_mask)
+    with np.errstate(over="ignore"):  # an entry or a sum past the dtype's range reads as inf
+        mask = require_array("loss mask", loss_mask).astype(model.dtype, copy=False)
+        total = mask.sum()
     if targets.shape != arr.shape or mask.shape != arr.shape:
         raise InvalidInput(f"targets {targets.shape} and loss mask {mask.shape} must have "
                            f"the tokens' shape {arr.shape}")
-    total = mask.sum()
-    if not 0.0 < total < math.inf:  # finite entries can still overflow their sum
+    if not 0.0 < total < math.inf:
         raise InvalidInput(f"loss mask must select positions; it sums to {total}")
 
     b, t = arr.shape
@@ -429,7 +448,7 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     logits -= logits.max(axis=-1, keepdims=True)
     dlogits = np.exp(logits)
     sez = dlogits.sum(axis=-1, keepdims=True)
-    picked = np.zeros((b, t))  # summed on the grid, in the unpacked sum's order
+    picked = np.zeros((b, t), model.dtype)  # summed on the grid, in the unpacked sum's order
     picked[rows] = np.take_along_axis(logits, tgt[:, None], axis=-1)[:, 0] - np.log(sez[:, 0])
     del logits
     loss = float(-(mask * picked).sum() / total)
@@ -571,7 +590,10 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
                                      (start[idx, None] <= col) & (col < stop[idx, None]))
         if not math.isfinite(loss):
             raise ConvergenceError(f"loss became {loss} at step {step}")
-        gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        with np.errstate(over="ignore"):
+            gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if not math.isfinite(gnorm):
+            raise ConvergenceError(f"gradient norm became {gnorm} at step {step}")
         clip = min(1.0, GRAD_CLIP_NORM / gnorm) if gnorm > 0 else 1.0
         for name, g in grads.items():
             g *= lr * clip
@@ -618,7 +640,7 @@ def greedy_decode(model: ToyModel, prompts: list[list[int]],
     # gets exactly zero weight. Rows leave one layer's cache at a time, so the
     # compaction holds the cache plus one layer's copy, not two caches.
     reach = min(cfg.max_seq, max(map(len, prompts)) + max_new_tokens - 1)
-    kv = [np.zeros((2, len(prompts), cfg.n_heads, reach, cfg.d_model // cfg.n_heads))
+    kv = [np.zeros((2, len(prompts), cfg.n_heads, reach, cfg.d_model // cfg.n_heads), model.dtype)
           for _ in range(cfg.n_layers)]
     x = _blocks(model, embed(model, _pad_batch(prompts)), 0, cfg.n_layers, kv=kv)[active, pos]
     for step in range(max_new_tokens):
@@ -657,7 +679,9 @@ def evaluate(model: ToyModel, items: list[tuple[list[int], list[int]]],
     _check_items(items)
     if not items:
         raise InvalidInput("evaluation needs at least one item")
-    require_array("answer tokens", [t for _, answer in items for t in answer], 1, integer=True)
+    answers = require_array("answer tokens", [t for _, a in items for t in a], 1, integer=True)
+    if answers.size and (answers.min() < 0 or answers.max() >= model.config.vocab):
+        raise InvalidInput("answer ids must lie in [0, vocab)")
     preds = greedy_decode(model, [p for p, _ in items], max_new_tokens)
     em_hits, f1_sum, degenerate = 0, 0.0, 0
     for pred, (_, answer) in zip(preds, items):

@@ -21,7 +21,7 @@ from .linalg import SeededRng
 
 DEFAULT_RESERVOIR_CAPACITY = 256
 _DRAW_BLOCK = 1024
-_F64 = np.dtype(np.float64)
+_ROW_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.5
 
@@ -57,9 +57,11 @@ class Reservoir:
         return self._count
 
     def offer(self, v: np.ndarray) -> None:
-        """Offer one float64 array of shape ``(width,)``; a kept row is copied."""
-        if not (type(v) is np.ndarray and v.dtype is _F64 and v.shape == self._row_shape):
-            raise InvalidInput(f"expected a float64 array of shape ({self.width},)")
+        """Offer one float32 or float64 array of shape ``(width,)``; a kept
+        row is copied into the float64 buffer, exactly."""
+        if not (type(v) is np.ndarray and v.dtype in _ROW_DTYPES and v.shape == self._row_shape):
+            raise InvalidInput(f"expected a float64 array of shape ({self.width},), "
+                               "or its float32 form")
         self.seen += 1
         if self._count < self.capacity:
             self._buf[self._count] = v

@@ -8,12 +8,15 @@ It prints one ``name sha256`` line per output; two checkouts compute the
 same outputs bit for bit when every line matches. The outputs:
 
 - ``train``: the loss and every gradient of each ``loss_and_grads`` call in
-  3 x 100 ``train_toy`` steps, one run per seed 0-2 from ``init_model`` on
-  ``gen_task`` items of the three tasks;
+  3 x 100 ``train_toy`` steps, one run per seed 0-2 from ``init_model`` (a
+  float32 model) on ``gen_task`` items of the three tasks;
 - ``forward``: the logits of a 64-prompt batch on the seed-0 model after its
   100 steps, and the block outputs its ``capture`` sees;
-- ``decode.<precision>``: ``greedy_decode`` of 48 held-out prompts on that
-  model at full precision and with every layer at 4, 8 and 16 bits;
+- ``train.f64`` and ``forward.f64``: the same, from float64 copies of the
+  float32 init, so the float64 path has a digest of its own;
+- ``decode.<precision>``: ``greedy_decode`` of 48 held-out prompts on the
+  float32 seed-0 model at full precision and with every layer at 4, 8 and
+  16 bits;
 - ``quant``: the codes, scales, zero-points and weights that
   ``quantize_tensor`` gives for each quantizable matrix of that model at 4,
   8 and 16 bits and group sizes 128, 100 (a short last group) and 2**20 (one
@@ -29,7 +32,7 @@ same outputs bit for bit when every line matches. The outputs:
 
 It reads nothing from ``bench/``. BLAS is pinned to one thread, as the
 benchmark pins it, so the digests do not depend on how a product is split
-across threads; a run takes about 15 s.
+across threads; a run takes about 12 s.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np  # noqa: E402
 import taq.model  # noqa: E402
 from taq.alloc import AllocConfig, CostModel, allocate_rank  # noqa: E402
 from taq.linalg import SeededRng, Tensor  # noqa: E402
-from taq.model import (ModelConfig, forward, greedy_decode, init_model,  # noqa: E402
+from taq.model import (ModelConfig, ToyModel, forward, greedy_decode, init_model,  # noqa: E402
                        layer_weight_counts, quantizable_names, train_toy)
 from taq.quant import DEFAULT_GROUP_SIZE, quantize_tensor  # noqa: E402
 from taq.stats import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_RESERVOIR_CAPACITY,  # noqa: E402
@@ -69,9 +72,9 @@ def update(h, arr) -> None:
     h.update(arr.tobytes())
 
 
-def train_digest() -> tuple[str, taq.model.ToyModel]:
-    """Digest of every loss and gradient over the training runs, and the
-    seed-0 model they leave."""
+def train_digest(dtype) -> tuple[str, ToyModel]:
+    """Digest of every loss and gradient over the training runs from the
+    init cast to ``dtype``, and the seed-0 model they leave."""
     h = hashlib.sha256()
     inner = taq.model.loss_and_grads
 
@@ -88,6 +91,7 @@ def train_digest() -> tuple[str, taq.model.ToyModel]:
     try:
         for seed in SEEDS:
             model = init_model(ModelConfig(seed=seed))
+            model = ToyModel(model.config, {k: v.astype(dtype) for k, v in model.params.items()})
             train_toy(model, task_items(100 + seed, 64), steps=STEPS, seed=seed)
             models.append(model)
     finally:
@@ -166,9 +170,12 @@ def init_digest(cfg: ModelConfig) -> str:
 
 
 def main() -> None:
-    train, model = train_digest()
+    train, model = train_digest(np.float32)
     print("train", train)
     print("forward", forward_digest(model))
+    train, model64 = train_digest(np.float64)
+    print("train.f64", train)
+    print("forward.f64", forward_digest(model64))
     print("decode.fp32", decode_digest(model))
     layers = range(model.config.n_layers)
     for bits in (4, 8, 16):

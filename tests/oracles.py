@@ -190,7 +190,8 @@ def gen_task_loop(task, n: int) -> list[tuple[list[int], list[int]]]:
 
 def forward_reference(model, tokens, capture=None) -> np.ndarray:
     """The toy model's forward pass written plainly: 3-D broadcast matmuls,
-    an additive -1e30 causal mask and an out-of-place softmax."""
+    an additive -1e30 causal mask and an out-of-place softmax, all in the
+    params' dtype."""
     cfg = model.config
     w = model.params
     tokens = np.asarray(tokens)
@@ -218,7 +219,7 @@ def forward_reference(model, tokens, capture=None) -> np.ndarray:
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
     x = w["embed.tok"][tokens] + w["embed.pos"][:t]
-    causal = np.where(np.arange(t) <= np.arange(t)[:, None], 0.0, -1e30)
+    causal = np.where(np.arange(t) <= np.arange(t)[:, None], 0.0, -1e30).astype(x.dtype)
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
         a = layer_norm(x, w[pre + "ln1.g"], w[pre + "ln1.b"])

@@ -72,14 +72,22 @@ class TestReservoir:
         assert res.seen == 0
 
     @pytest.mark.parametrize("row", [[1.0, 2.0, 3.0], np.array([[1.0, 2.0, 3.0]]),
-                                     np.array([1.0, 2.0, 3.0], np.float32)],
-                             ids=["list", "1-by-width", "float32"])
+                                     np.array([1.0, 2.0, 3.0], np.float16)],
+                             ids=["list", "1-by-width", "float16"])
     def test_other_row_forms_refused(self, row):
         # a wrong-width row is test_width_mismatch_array's case
         res = Reservoir(2, 3, SeededRng(0))
         with pytest.raises(InvalidInput, match=r"expected a float64 array of shape \(3,\)"):
             res.offer(row)
         assert res.seen == 0 and len(res) == 0
+
+    def test_float32_row_kept_exactly(self):
+        # a float32 model's capture rows; the upcast to the float64 buffer is exact
+        row = np.array([0.1, -2.5e-8, 3e38], np.float32)
+        res = Reservoir(2, 3, SeededRng(0))
+        res.offer(row)
+        assert res.seen == 1 and res.rows().dtype == np.float64
+        np.testing.assert_array_equal(res.rows(), [row.astype(np.float64)])
 
     def test_non_contiguous_row_stored_as_a_copy(self):
         base = np.arange(13.0, 19.0)
