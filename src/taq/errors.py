@@ -29,7 +29,7 @@ class InvalidInput(TaqError):
 
 
 class ConvergenceError(TaqError):
-    """The training loss became non-finite, or the spectral entropy's SVD did not converge."""
+    """A training loss or gradient is not finite, or the spectral entropy's SVD did not converge."""
 
 
 class BudgetInfeasible(TaqError):

@@ -15,10 +15,9 @@ Every path reads weights from ``model.params`` alone. A quantized model has
 its own parameter dict in which each quantized matrix is its QTensor's
 dequantized weights and every other entry is the parent's array.
 
-A model computes in its parameters' dtype, float32 or float64: every
-activation, cache, loss and gradient has it. ``init_model`` gives float32;
-a float64 model (the float64 copy of one, or a float64 checkpoint) runs the
-same operations in float64.
+A model computes in its parameters' dtype, float32 (as ``init_model``
+gives) or float64 (as the float64 copy of one, or a float64 checkpoint):
+every activation, cache, loss and gradient has it.
 """
 
 from __future__ import annotations
@@ -590,8 +589,12 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
                                      (start[idx, None] <= col) & (col < stop[idx, None]))
         if not math.isfinite(loss):
             raise ConvergenceError(f"loss became {loss} at step {step}")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a square past the dtype's range reads as inf
             gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if gnorm == math.inf:  # sum again over the largest entry: inf only if an entry is
+            top = max(float(abs(g).max()) for g in grads.values())
+            gnorm = top * math.sqrt(sum(float(np.square(g / top).sum())
+                                        for g in grads.values())) if top < math.inf else top
         if not math.isfinite(gnorm):
             raise ConvergenceError(f"gradient norm became {gnorm} at step {step}")
         clip = min(1.0, GRAD_CLIP_NORM / gnorm) if gnorm > 0 else 1.0

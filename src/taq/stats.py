@@ -57,11 +57,9 @@ class Reservoir:
         return self._count
 
     def offer(self, v: np.ndarray) -> None:
-        """Offer one float32 or float64 array of shape ``(width,)``; a kept
-        row is copied into the float64 buffer, exactly."""
+        """Offer one float64 or float32 row of shape ``(width,)``; a kept row is held as float64."""
         if not (type(v) is np.ndarray and v.dtype in _ROW_DTYPES and v.shape == self._row_shape):
-            raise InvalidInput(f"expected a float64 array of shape ({self.width},), "
-                               "or its float32 form")
+            raise InvalidInput(f"expected a float64 array of shape ({self.width},), or float32")
         self.seen += 1
         if self._count < self.capacity:
             self._buf[self._count] = v

@@ -315,11 +315,19 @@ class TestForward:
 
     def test_traced_peak(self):
         # inference keeps no training cache and drops each intermediate once
-        # read: one default-config forward over 64 rows of 11 tokens peaks near
-        # 2.4 MiB, against 5.4 MiB when every block built the backward's cache
-        model = init_model(ModelConfig())
+        # read: one float64 default-config forward over 64 rows of 11 tokens
+        # peaks near 2.8 MiB, against 10.2 MiB when every block built the
+        # backward's cache
+        model = as_float64(init_model(ModelConfig()))
         tokens = small_batch(model.config, batch=64, seq=11)[0]
         assert traced_peak(lambda: forward(model, tokens)) <= 3.5 * MIB
+
+    def test_float32_traced_peak(self):
+        # the same forward in float32: near 1.4 MiB, against 5.1 MiB with the
+        # backward's cache
+        model = init_model(ModelConfig())
+        tokens = small_batch(model.config, batch=64, seq=11)[0]
+        assert traced_peak(lambda: forward(model, tokens)) <= 1.75 * MIB
 
     def test_overlength_rejected(self):
         model = init_model(SMALL)
@@ -551,19 +559,33 @@ class TestGradients:
         # the mask selects columns 2-4 of 20, so only the first 5 columns of
         # each row are computed, and each block keeps for the backward pass
         # only its LayerNorm inputs and softmax weights: one call on the
-        # default config with 16 rows peaks near 4.8 MiB, against 9.5 MiB when
-        # the blocks also kept q/k/v, the context and the ReLU output
-        model = init_model(ModelConfig())
+        # float64 default config with 16 rows peaks near 4.5 MiB, against
+        # 9.1 MiB when the blocks also kept q/k/v, the context and the ReLU
+        # output
+        model = as_float64(init_model(ModelConfig()))
         tokens, targets, mask = small_batch(model.config, batch=16, seq=20)
         assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 7 * MIB
 
-    def test_traced_peak_on_a_training_batch(self):
-        # 16 items of the three tasks, right-padded: near 5.2 MiB, against
-        # 12.7 MiB when the blocks also kept q/k/v, the context and the ReLU
-        # output
+    def test_float32_traced_peak(self):
+        # the same call in float32: near 2.3 MiB, against 4.6 MiB when the
+        # blocks also kept q/k/v, the context and the ReLU output
         model = init_model(ModelConfig())
+        tokens, targets, mask = small_batch(model.config, batch=16, seq=20)
+        assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 3.5 * MIB
+
+    def test_traced_peak_on_a_training_batch(self):
+        # 16 items of the three tasks, right-padded, in float64: near 4.9 MiB,
+        # against 12.1 MiB when the blocks also kept q/k/v, the context and
+        # the ReLU output
+        model = as_float64(init_model(ModelConfig()))
         tokens, targets, mask = training_batches(1)[0]
         assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 7 * MIB
+
+    def test_float32_traced_peak_on_a_training_batch(self):
+        # the same batch in float32: near 2.4 MiB, against 6.1 MiB
+        model = init_model(ModelConfig())
+        tokens, targets, mask = training_batches(1)[0]
+        assert traced_peak(lambda: loss_and_grads(model, tokens, targets, mask)) <= 3.5 * MIB
 
     def test_finite_difference_agreement(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=8, seed=123)
@@ -701,15 +723,35 @@ class TestTraining:
 
     @pytest.mark.parametrize("dtype, gain", [(np.float64, 1e300), (np.float32, 1e30)],
                              ids=["float64", "float32"])
-    def test_overflowing_gradient_norm_diverges(self, dtype, gain):
-        # the loss stays finite but the gradient norm overflows; the step used
-        # to clip by 1 / inf = 0, leaving every parameter as it was, and warn
+    def test_gradient_squares_past_the_dtype_clip_the_step(self, dtype, gain):
+        # the loss and every gradient entry stay finite, but their squares
+        # overflow the dtype; the step used to clip by 1 / inf = 0, leaving
+        # every parameter as it was, and warn
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=16)
         model = ToyModel(cfg, {k: v.astype(dtype) for k, v in init_model(cfg).params.items()})
         model.params["ln_f.g"][:] = gain
-        before = {k: v.copy() for k, v in model.params.items()}
+        before = {k: v.astype(np.float64) for k, v in model.params.items()}
         items = gen_task(ToyTask("copy", 1, vocab=cfg.vocab, max_payload=4), 4)
-        with pytest.raises(ConvergenceError, match="gradient norm became inf at step 0"):
+        train_toy(model, items, steps=1, batch_size=2, lr=0.5)
+        step = math.sqrt(sum(((model.params[k] - v) ** 2).sum() for k, v in before.items()))
+        assert step == pytest.approx(0.5 * taq.model.GRAD_CLIP_NORM, rel=1e-6)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_non_finite_gradient_diverges(self, monkeypatch, dtype, value):
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=16)
+        model = ToyModel(cfg, {k: v.astype(dtype) for k, v in init_model(cfg).params.items()})
+        before = {k: v.copy() for k, v in model.params.items()}
+        real = taq.model.loss_and_grads
+
+        def spoiled(*args):
+            loss, grads = real(*args)
+            grads["layer0.mlp.w1"][0, 0] = value
+            return loss, grads
+
+        monkeypatch.setattr(taq.model, "loss_and_grads", spoiled)
+        items = gen_task(ToyTask("copy", 1, vocab=cfg.vocab, max_payload=4), 4)
+        with pytest.raises(ConvergenceError, match=f"gradient norm became {value} at step 0"):
             train_toy(model, items, steps=2, batch_size=2)
         for name in before:
             np.testing.assert_array_equal(model.params[name], before[name])
@@ -754,11 +796,17 @@ class TestTraining:
             np.testing.assert_array_equal(model.params[name], before[name])
 
     def test_traced_peak(self):
-        # 20 default-config steps: near 5.2 MiB when each step frees its
-        # gradients after the update, against 8.7 MiB when a step's gradient
-        # dict was kept until the next step's existed
-        model, items = init_model(ModelConfig()), bench_training_items()
+        # 20 float64 default-config steps: near 5.8 MiB when each step frees
+        # its gradients after the update, against 8.9 MiB when a step's
+        # gradient dict was kept until the next step's existed
+        model, items = as_float64(init_model(ModelConfig())), bench_training_items()
         assert traced_peak(lambda: train_toy(model, items, steps=20, seed=5)) <= 7 * MIB
+
+    def test_float32_traced_peak(self):
+        # the same steps in float32: near 3.2 MiB, against 4.7 MiB with the
+        # gradients kept
+        model, items = init_model(ModelConfig()), bench_training_items()
+        assert traced_peak(lambda: train_toy(model, items, steps=20, seed=5)) <= 4 * MIB
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator policy train_toy sets is glibc's mallopt")
