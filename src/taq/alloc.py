@@ -2,7 +2,8 @@
 
 The rank allocator pins edge layers at full precision, sorts the remaining
 layers by relevance, and hands out 16/8/4 bits by rank fractions. A
-``CostModel`` prices every plan in weight-bits, pinned layers at 32 bits.
+``CostModel`` prices every plan in weight-bits, pinned layers at 32 bits,
+and refuses any other width.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import (BudgetInfeasible, InvalidInput, require_array, require_instance, require_int,
                      require_real)
-from .quant import check_bits
+from .quant import ADMISSIBLE_BITS, check_bits
 
 PIN_FULL_BITS = 32
 DEFAULT_F16 = 0.15
@@ -39,6 +40,9 @@ class CostModel:
         if len(bits) != len(self.weight_counts):
             raise InvalidInput(
                 f"plan covers {len(bits)} layers, cost model has {len(self.weight_counts)}")
+        if bad := [b for b in bits if b not in (*ADMISSIBLE_BITS, PIN_FULL_BITS)]:
+            raise InvalidInput(f"bits must be one of {ADMISSIBLE_BITS} or {PIN_FULL_BITS}, "
+                               f"got {bad[0]}")
         return sum(c * b for c, b in zip(self.weight_counts, bits))
 
 

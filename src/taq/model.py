@@ -194,11 +194,17 @@ def _affine(xhat, g, b):
 
 
 def _layer_norm_backward(dout, xhat, istd, g):
-    dg = (dout * xhat).sum(axis=0, keepdims=True)
-    db = dout.sum(axis=0, keepdims=True)
-    dxhat = dout * g
-    dx = istd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    """d(x), d(g), d(b). d(x) is istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+    dxhat = dout * g, in place but in that order and with ``_layer_norm``'s means."""
+    d = xhat.shape[-1]
+    tmp = dout * xhat
+    dg, db = np.add.reduce(tmp, axis=0, keepdims=True), np.add.reduce(dout, axis=0, keepdims=True)
+    dx = dout * g
+    np.multiply(dx, xhat, out=tmp)
+    np.multiply(xhat, np.add.reduce(tmp, axis=-1, keepdims=True) / d, out=tmp)
+    dx -= np.add.reduce(dx, axis=-1, keepdims=True) / d
+    dx -= tmp
+    dx *= istd
     return dx, dg, db
 
 
@@ -237,6 +243,12 @@ def _unpack(x, rows):
     grid = np.zeros(rows.shape + x.shape[-1:], x.dtype)
     grid[rows] = x
     return grid
+
+
+def _scatter_add(ids, n, x):
+    """(n, d): row j sums the rows of x (len(ids), d) whose id is j, as a GEMM
+    with the one-hot matrix of ``ids``; np.add.at sums them in another order."""
+    return (np.arange(n)[:, None] == ids).astype(x.dtype) @ x
 
 
 def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
@@ -402,7 +414,8 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     width t, not max need_r: t is the inner length of ``p @ v``, and a
     shorter one changes those sums in the last bits. For the same reason the
     loss is summed on the grid. Loss and gradients are bit for bit those of
-    computing every position.
+    computing every position, bar the embedding gradients, one GEMM over the
+    packed rows (see below).
 
     This is the one caller that passes backward caches to ``_blocks`` and
     ``_final_logits``, one dict per block and one for the loss path; every
@@ -416,7 +429,10 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
     Being the same operations on the same inputs, they give the forward's
     arrays bit for bit, and so the gradients of keeping them. The softmax
     weights stay: rebuilding them would cost the qk product and the masked
-    softmax, the most expensive part of a block's attention. The loss path's
+    softmax, the most expensive part of a block's attention. For fewer numpy
+    passes, the backward adds the residual and q/k/v input gradients in place,
+    scales d(scores) once rather than dq and dk, and sums each embedding
+    table's gradient rows as one GEMM (``_scatter_add``). The loss path's
     arrays (the logits, their softmax, the final LayerNorm's cache) are
     dropped once read, each block's backward temporaries at the end of the
     block, and each block's cache once its gradients are out. The next call
@@ -486,33 +502,32 @@ def loss_and_grads(model: ToyModel, tokens, targets, loss_mask):
         du *= r > 0.0
         del r
         dm = linear(pre + "mlp.w1", m, du)
-        dx1 = norm(pre + "ln2", dm, c["xhat2"], c["istd2"]) + dx  # residual
+        dx += norm(pre + "ln2", dm, c["xhat2"], c["istd2"])  # residual: now d(x1)
         del du, m, dm
 
         # attention path, on the grid
         a = _affine(c["xhat1"], w[pre + "ln1.g"], w[pre + "ln1.b"])
         qh, kh, vh = _heads(model, i, a, rows)
         p = c["p"]
-        dctx_h = _split_heads(_unpack(linear(pre + "attn.wo", _merge_heads(p @ vh, rows), dx1),
+        dctx_h = _split_heads(_unpack(linear(pre + "attn.wo", _merge_heads(p @ vh, rows), dx),
                                       rows), cfg.n_heads)
         dp = dctx_h @ vh.transpose(0, 1, 3, 2)
         dvh = p.transpose(0, 1, 3, 2) @ dctx_h
         del vh, dctx_h
-        dp -= (dp * p).sum(axis=-1, keepdims=True)
-        dp *= p  # d(scores)
-        dqh = dp @ kh * scale
-        dkh = dp.transpose(0, 1, 3, 2) @ qh * scale
+        dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
+        dp *= p
+        dp *= scale  # d(scores before the scale)
+        dqh = dp @ kh
+        dkh = dp.transpose(0, 1, 3, 2) @ qh
         del qh, kh, p, dp
-        da = linear(pre + "attn.wq", a, _merge_heads(dqh, rows)) + \
-            linear(pre + "attn.wk", a, _merge_heads(dkh, rows)) + \
-            linear(pre + "attn.wv", a, _merge_heads(dvh, rows))
+        da = linear(pre + "attn.wq", a, _merge_heads(dqh, rows))
+        da += linear(pre + "attn.wk", a, _merge_heads(dkh, rows))
+        da += linear(pre + "attn.wv", a, _merge_heads(dvh, rows))
         del a, dqh, dkh, dvh
-        dx = norm(pre + "ln1", da, c["xhat1"], c["istd1"]) + dx1  # residual
+        dx += norm(pre + "ln1", da, c["xhat1"], c["istd1"])  # residual
 
-    grads["embed.tok"] = np.zeros_like(w["embed.tok"])
-    np.add.at(grads["embed.tok"], arr[rows], dx)
-    grads["embed.pos"] = np.zeros_like(w["embed.pos"])
-    np.add.at(grads["embed.pos"], np.nonzero(rows)[1], dx)
+    grads["embed.tok"] = _scatter_add(arr[rows], cfg.vocab, dx)
+    grads["embed.pos"] = _scatter_add(np.nonzero(rows)[1], cfg.max_seq, dx)
     return loss, grads
 
 
@@ -589,8 +604,8 @@ def train_toy(model: ToyModel, items: list[tuple[list[int], list[int]]],
                                      (start[idx, None] <= col) & (col < stop[idx, None]))
         if not math.isfinite(loss):
             raise ConvergenceError(f"loss became {loss} at step {step}")
-        with np.errstate(over="ignore"):  # a square past the dtype's range reads as inf
-            gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        # a square past the dtype's range reads as inf; np.vdot does not warn
+        gnorm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
         if gnorm == math.inf:  # sum again over the largest entry: inf only if an entry is
             top = max(float(abs(g).max()) for g in grads.values())
             gnorm = top * math.sqrt(sum(float(np.square(g / top).sum())

@@ -259,3 +259,23 @@ def masked_cross_entropy_reference(model, tokens, targets, mask) -> float:
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, np.asarray(targets)[..., None], axis=-1)[..., 0]
     return float(-(mask * picked).sum() / mask.sum())
+
+
+def layer_norm_backward_reference(dout, xhat, istd, g):
+    """LayerNorm's d(x), d(g), d(b) written out of place with ``sum`` and
+    ``mean``: d(x) = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    for dxhat = dout * g."""
+    dg = (dout * xhat).sum(axis=0, keepdims=True)
+    db = dout.sum(axis=0, keepdims=True)
+    dxhat = dout * g
+    dx = istd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, dg, db
+
+
+def scatter_add_reference(ids, n, x) -> np.ndarray:
+    """(n, d) rows, row j the sum of the rows of ``x`` whose id is j, added
+    one row at a time in row order by ``np.add.at``."""
+    out = np.zeros((n, x.shape[1]), x.dtype)
+    np.add.at(out, ids, x)
+    return out

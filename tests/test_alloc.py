@@ -160,6 +160,12 @@ class TestPlanCost:
         with pytest.raises(InvalidInput):
             call()
 
+    @pytest.mark.parametrize("width", [5, -4, 0])
+    def test_width_neither_admissible_nor_pinned_rejected(self, width):
+        # an unchecked cost priced [5, -4] at -30, under any budget
+        with pytest.raises(InvalidInput, match=f"got {width}$"):
+            CostModel((10, 20)).cost([width, 4])
+
 
 class TestKnapsackExact:
     def test_unconstrained_all_max_bits(self):

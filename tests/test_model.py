@@ -18,7 +18,10 @@ from taq.model import (
     ToyModel,
     _blocks,
     _final_logits,
+    _layer_norm,
+    _layer_norm_backward,
     _pad_batch,
+    _scatter_add,
     embed,
     evaluate,
     forward,
@@ -37,8 +40,9 @@ from taq.stats import (Reservoir, StreamingMoments, finalize_profile, spectral_e
                        variance_and_stability)
 from taq.tasks import PAD, SEP, TASK_IDS, ToyTask, gen_task
 
-from oracles import (forward_reference, greedy_decode_recompute, masked_cross_entropy_reference,
-                     randint, training_batch_reference)
+from oracles import (forward_reference, greedy_decode_recompute, layer_norm_backward_reference,
+                     masked_cross_entropy_reference, randint, scatter_add_reference,
+                     training_batch_reference)
 
 SMALL = ModelConfig(n_layers=5, d_model=16, n_heads=2, vocab=32, max_seq=16, seed=7)
 # the benchmark's committed default-config checkpoint: a model whose decoded
@@ -604,25 +608,61 @@ class TestGradients:
         mask = np.array([[0.0, 1.0, 1.0, 1.0, 1.0]])
 
         loss, grads = loss_and_grads(model, tokens, targets, mask)
-        names = [n for n, _ in param_shapes(cfg)]
+        # two coordinates of every parameter; in the embedding tables, of rows
+        # the batch reads (every other row's gradient is 0 on both sides)
+        used = {"embed.tok": np.unique(tokens), "embed.pos": np.arange(tokens.shape[1])}
         coord_rng = SeededRng(77)
         eps = 1e-6
-        checked = 0
-        while checked < 20:
-            name = names[randint(coord_rng, len(names))]
-            flat = model.params[name].reshape(-1)
-            j = randint(coord_rng, flat.size)
-            orig = flat[j]
-            flat[j] = orig + eps
-            up, _ = loss_and_grads(model, tokens, targets, mask)
-            flat[j] = orig - eps
-            down, _ = loss_and_grads(model, tokens, targets, mask)
-            flat[j] = orig
-            fd = (up - down) / (2 * eps)
-            analytic = grads[name].reshape(-1)[j]
-            denom = max(abs(fd), abs(analytic), 1e-8)
-            assert abs(fd - analytic) / denom < 1e-4, (name, j, fd, analytic)
-            checked += 1
+        for name, (n_rows, n_cols) in param_shapes(cfg):
+            for _ in range(2):
+                rows = used.get(name, np.arange(n_rows))
+                j = rows[randint(coord_rng, len(rows))] * n_cols + randint(coord_rng, n_cols)
+                flat = model.params[name].reshape(-1)
+                orig = flat[j]
+                flat[j] = orig + eps
+                up, _ = loss_and_grads(model, tokens, targets, mask)
+                flat[j] = orig - eps
+                down, _ = loss_and_grads(model, tokens, targets, mask)
+                flat[j] = orig
+                fd = (up - down) / (2 * eps)
+                analytic = grads[name].reshape(-1)[j]
+                denom = max(abs(fd), abs(analytic), 1e-8)
+                assert abs(fd - analytic) / denom < 1e-4, (name, j, fd, analytic)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_layer_norm_backward_matches_reference_bit_for_bit(self, dtype):
+        # in place and through np.add.reduce, it runs the out-of-place form's
+        # float operations in the same order
+        rng = SeededRng(21)
+        x = (rng.normals(320 * 64).reshape(320, 64) * 3.0 + 1.5).astype(dtype)
+        dout = rng.normals(320 * 64).reshape(320, 64).astype(dtype)
+        g, b = (rng.normals(64).reshape(1, 64).astype(dtype) for _ in range(2))
+        cache = {}
+        _layer_norm(x, g, b, cache)
+        got = _layer_norm_backward(dout, cache["xhat"], cache["istd"], g)
+        want = layer_norm_backward_reference(dout, cache["xhat"], cache["istd"], g)
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == dtype
+            np.testing.assert_array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    def test_embedding_gradients_match_add_at(self, dtype, rtol):
+        # the one-hot GEMM adds each row's terms in another order than
+        # np.add.at, so each sum may move by rtol times the sum of its terms'
+        # magnitudes; a row no id reads stays exactly 0
+        tokens, _, _ = training_batches(1)[0]
+        t = tokens.shape[1]
+        dx = SeededRng(22).normals(tokens.size * 64).reshape(tokens.size, 64).astype(dtype)
+        cfg = ModelConfig()
+        for ids, n in ((tokens.reshape(-1), cfg.vocab),
+                       (np.tile(np.arange(t), len(tokens)), cfg.max_seq)):
+            assert len(np.unique(ids)) < len(ids) // 4  # every id read many times
+            got = _scatter_add(ids, n, dx)
+            assert got.dtype == dtype and got.shape == (n, 64)
+            want = scatter_add_reference(ids, n, dx)
+            assert (np.abs(got - want) <= rtol * scatter_add_reference(ids, n, np.abs(dx))).all()
+            assert not got[np.setdiff1d(np.arange(n), ids)].any()
 
 
 class TestPackedPositions:
@@ -733,6 +773,29 @@ class TestTraining:
         before = {k: v.astype(np.float64) for k, v in model.params.items()}
         items = gen_task(ToyTask("copy", 1, vocab=cfg.vocab, max_payload=4), 4)
         train_toy(model, items, steps=1, batch_size=2, lr=0.5)
+        step = math.sqrt(sum(((model.params[k] - v) ** 2).sum() for k, v in before.items()))
+        assert step == pytest.approx(0.5 * taq.model.GRAD_CLIP_NORM, rel=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_gradient_norm_past_the_clip_norm_clips_the_step(self, monkeypatch, dtype):
+        # a finite gradient norm near 12.7: the step is scaled to lr times
+        # GRAD_CLIP_NORM long
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab=16, max_seq=16)
+        model = ToyModel(cfg, {k: v.astype(dtype) for k, v in init_model(cfg).params.items()})
+        model.params["ln_f.g"][:] = 10.0
+        before = {k: v.astype(np.float64) for k, v in model.params.items()}
+        norms, inner = [], taq.model.loss_and_grads
+
+        def recorded(*args):
+            loss, grads = inner(*args)
+            norms.append(math.sqrt(sum(float(np.square(g.astype(np.float64)).sum())
+                                       for g in grads.values())))
+            return loss, grads
+
+        monkeypatch.setattr(taq.model, "loss_and_grads", recorded)
+        items = gen_task(ToyTask("copy", 1, vocab=cfg.vocab, max_payload=4), 4)
+        train_toy(model, items, steps=1, batch_size=2, lr=0.5)
+        assert 5 * taq.model.GRAD_CLIP_NORM < norms[0] < 100 * taq.model.GRAD_CLIP_NORM
         step = math.sqrt(sum(((model.params[k] - v) ** 2).sum() for k, v in before.items()))
         assert step == pytest.approx(0.5 * taq.model.GRAD_CLIP_NORM, rel=1e-6)
 

@@ -104,3 +104,32 @@ def test_errors_go_through_errors_module():
                     found.append(f"{path.name}:{node.lineno} catches "
                                  f"{ast.unparse(node.type) if node.type else 'everything'}")
     assert not found, found
+
+
+def _openblas_threads() -> int | None:
+    """The thread count the loaded OpenBLAS reports, asked as ``bench/run.py``'s
+    ``blas_info`` asks it; None when no OpenBLAS is loaded or it cannot be asked."""
+    import ctypes
+
+    import numpy  # noqa: F401  loads the BLAS
+
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if (fn := getattr(lib, sym, None)) is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def test_blas_pinned_to_one_thread():
+    # conftest.py sets the pin; it takes only if numpy was not imported first
+    if (threads := _openblas_threads()) is None:
+        pytest.skip("no OpenBLAS loaded, or it reports no thread count")
+    assert threads == 1
